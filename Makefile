@@ -96,11 +96,12 @@ bench-json:
 
 # Benchmarks whose 0 allocs/op is a documented invariant, pinned
 # ABSOLUTELY in the newest record (not merely "no growth"): the
-# steady-state round engine, the attacker plan search (cached and
-# uncached), and the batched lane kernel (both widths). bench-diff
+# steady-state round engine, the attacker plan search (cached,
+# uncached, and the full-knowledge row search), and the batched lane
+# kernel (both widths). bench-diff
 # fails if any of them reports a single allocation — or if the regexp
 # stops matching (a rename must not unarm the pin).
-BENCH_ZERO_ALLOC := BenchmarkRoundClean|BenchmarkAttackOptimalCached|BenchmarkAttackOptimalUncached|BenchmarkSweeperFuseBatch
+BENCH_ZERO_ALLOC := BenchmarkRoundClean|BenchmarkAttackOptimalCached|BenchmarkAttackOptimalUncached|BenchmarkAttackOptimalFullKnowledge|BenchmarkSweeperFuseBatch
 
 # Compare the newest BENCH_*.json against the previous one: fail on a
 # >20% geomean ns/op regression, any allocs/op growth, or any
@@ -125,14 +126,16 @@ bench-diff:
 scenarios:
 	$(GO) run ./cmd/repro scenarios -steps 25
 
-# Short coverage-guided fuzzing of the three fuzz targets (scenario
-# config decoder, results JSONL round-trip, batch fusion equivalence),
-# each seeded from a committed corpus. 5s per target keeps CI cheap;
+# Short coverage-guided fuzzing of the four fuzz targets (scenario
+# config decoder, results JSONL round-trip, batch fusion equivalence,
+# the full-knowledge row search against the batched plan search), each
+# seeded from a committed corpus. 5s per target keeps CI cheap;
 # raise -fuzztime for a real hunt.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 5s ./internal/verdict/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 5s ./internal/results/
 	$(GO) test -run '^$$' -fuzz '^FuzzFuseBatch$$' -fuzztime 5s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimalFullKnowledge$$' -fuzztime 5s ./internal/attack/
 
 # Chaos soak: drive the coordinator through seeded deterministic fault
 # schedules (torn/short writes, EIO/ENOSPC, manifest rename/fsync

@@ -15,9 +15,10 @@
 //   - BenchmarkScenarioFaultsStep (internal/experiments) — one step of
 //     the fault-injection scenario generator on its Sweeper hot path.
 //   - BenchmarkAttackOptimalUncached / BenchmarkAttackOptimalCached /
-//     BenchmarkRoundClean — the zero-alloc invariants (cached AND
-//     uncached plan search, steady-state rounds); bench-diff pins them
-//     and the batch kernel benchmarks to exactly 0 allocs/op.
+//     BenchmarkAttackOptimalFullKnowledge / BenchmarkRoundClean — the
+//     zero-alloc invariants (cached AND uncached plan search, the
+//     full-knowledge row search, steady-state rounds); bench-diff pins
+//     them and the batch kernel benchmarks to exactly 0 allocs/op.
 //   - BenchmarkCampaignParallel_1 vs _NumCPU — engine scaling; the
 //     Table I streams split each configuration into three engine items
 //     so heavy rows parallelize internally.
@@ -334,6 +335,44 @@ func BenchmarkAttackOptimalUncached(b *testing.B) {
 	}
 }
 func BenchmarkAttackOptimalCached(b *testing.B) { benchStrategy(b, attack.NewOptimal()) }
+
+// BenchmarkAttackOptimalFullKnowledge times the campaign's dominant
+// decision shape: the Descending schedule's last-slot attacker with
+// n = 5, f = 2, three seen intervals and two of her own to place. Every
+// such context is unique in a campaign (Delta and Seen depend on all
+// five offsets), so the contexts cycle with the memo capped at one
+// entry and every call runs the exact row search (attack.Optimal's
+// branch-and-bound) with warm scratch. Its 0 allocs/op is pinned by the
+// bench-diff gate.
+func BenchmarkAttackOptimalFullKnowledge(b *testing.B) {
+	var ctxs []attack.Context
+	for a := -2; a < 2; a++ {
+		for c := -2; c < 2; c++ {
+			for d := -2; d < 2; d++ {
+				ctxs = append(ctxs, attack.Context{
+					N: 5, F: 2, Sent: 3,
+					Delta:     interval.MustNew(-3, 4),
+					OwnWidths: []float64{14, 14},
+					Seen: []interval.Interval{
+						interval.MustCentered(float64(a), 20),
+						interval.MustCentered(float64(c)+0.5, 20),
+						interval.MustCentered(float64(d)-1, 20),
+					},
+					Step: 1,
+				})
+			}
+		}
+	}
+	o := attack.NewOptimal()
+	o.MemoCap = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if plan := o.Plan(ctxs[i%len(ctxs)]); len(plan) != 2 {
+			b.Fatal("bad plan")
+		}
+	}
+}
 
 // --- Ablation: Table I grid step ----------------------------------------
 

@@ -3,6 +3,7 @@ package attack
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"sensorfusion/internal/interval"
 )
@@ -30,6 +31,17 @@ import (
 // an interval.Batch, and each world scores the whole batch in a single
 // branch-lean ScoreBatch pass — no per-candidate sorting, appending, or
 // allocation, and no per-(candidate, world) call overhead.
+//
+// Single-world decisions that place two intervals — above all the
+// Descending schedule's full-knowledge attacker with n = 5, fa = 2 and
+// three seen intervals, the campaign's dominant decision, unique per
+// round so the memo never absorbs it — take an exact branch-and-bound
+// instead (searchRows): a per-row bound on the fusion width lets it
+// score about one dim-0 row per decision instead of all of them
+// (about 25 on a step-2 campaign sample), and a second, enumeration-order
+// pass returns exactly the tuple the batched search's strict argmax
+// selects. The batched search (searchBatched) serves every other shape
+// and is the row search's test oracle.
 //
 // An Optimal is not safe for concurrent use (the campaign engine builds
 // one per task); the zero value works but never caches — use NewOptimal.
@@ -80,6 +92,15 @@ type Optimal struct {
 	witOffBuf [][]int
 	witArena  []interval.Interval
 	witPts    []float64
+	// passive records the current decision's stealth regime (set by
+	// prepare, read by the per-tuple residual check).
+	passive bool
+	// Row-search scratch (searchRows): the rows that can fuse, in
+	// visiting order, and the columns of the row batch being scored.
+	// Both are sized to the largest decision seen, so they grow only a
+	// few times per Optimal.
+	rows []rowState
+	cols []int
 }
 
 // NewOptimal returns an Optimal strategy with an empty plan cache.
@@ -119,20 +140,36 @@ func (o *Optimal) Plan(ctx Context) []interval.Interval {
 }
 
 func (o *Optimal) plan(ctx Context) []interval.Interval {
-	// The fallback (correct readings, centered on Delta) built into a
-	// reused buffer — correctFallback's shape without its allocation.
+	cands, fallback, ok := o.prepare(ctx)
+	if !ok {
+		return fallback
+	}
+	// One world and two placements: the exact row search. It needs
+	// m-1 = N-F-1 >= 1, or the hull of the (m-1)-covered points — its
+	// row bound — would be the whole line.
+	if len(ctx.OwnWidths) == 2 && len(o.eval.sweeps) == 1 && ctx.N-ctx.F-1 > 0 {
+		return o.searchRows(ctx, cands, fallback)
+	}
+	return o.searchBatched(ctx, cands, fallback)
+}
+
+// prepare runs the per-decision setup both searches share: the fallback
+// plan (correct readings centered on Delta, built into a reused buffer —
+// correctFallback's shape without its allocation), the candidate center
+// sets, the active-mode stealth triage, and the evaluator's worlds. ok
+// is false when no candidate tuple can be stealthy; the decision then
+// collapses to the fallback.
+func (o *Optimal) prepare(ctx Context) (cands [][]float64, fallback []interval.Interval, ok bool) {
 	c := ctx.Delta.Center()
 	o.fallback = o.fallback[:0]
 	for _, w := range ctx.OwnWidths {
 		o.fallback = append(o.fallback, interval.MustCentered(c, w))
 	}
-	fallback := o.fallback
-	cands := o.candidateSets(ctx)
+	fallback = o.fallback
+	cands = o.candidateSets(ctx)
 	if cands == nil {
-		return fallback
+		return nil, fallback, false
 	}
-	k := len(ctx.OwnWidths)
-	need := ctx.N - ctx.F - 1
 	// Passive-mode stealth is a per-dimension predicate and
 	// candidateSets has already pruned each dimension down to the
 	// placements that satisfy it, so every passive tuple is stealthy by
@@ -141,16 +178,89 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 	// against the seen-only coverage once per decision, pruning hopeless
 	// placements and marking decided ones, so the per-tuple residual is
 	// usually empty.
-	passive := ctx.Mode() == Passive
-	if !passive && !o.pruneActive(ctx, cands, need) {
-		return fallback // some stealth obligation is unsatisfiable
+	o.passive = ctx.Mode() == Passive
+	if !o.passive && !o.pruneActive(ctx, cands, ctx.N-ctx.F-1) {
+		return nil, fallback, false // some stealth obligation is unsatisfiable
 	}
-	e := &o.eval
-	e.init(ctx)
+	o.eval.init(ctx)
+	k := len(ctx.OwnWidths)
 	if cap(o.placed) < k {
 		o.placed = make([]interval.Interval, k)
+		o.idx = make([]int, k)
 	}
-	placed := o.placed[:k]
+	return cands, fallback, true
+}
+
+// place writes the tuple of candidate centers idx, of widths widths, into
+// placed.
+func place(widths []float64, cands [][]float64, idx []int, placed []interval.Interval) {
+	for d, i := range idx {
+		w := widths[d]
+		cc := cands[d][i]
+		placed[d] = interval.Interval{Lo: cc - w/2, Hi: cc + w/2}
+	}
+}
+
+// stealthy reports whether the tuple placed (candidate indices idx)
+// passes StealthOK, given prepare's triage. Passive tuples pass by
+// construction. Active ones re-check only the obligations pruneActive
+// left undecided, against the full pool, with skips resolved up front;
+// the conjunction is exactly StealthOK's, since the decided parts were
+// proven per center.
+func (o *Optimal) stealthy(seen []interval.Interval, need int, placed []interval.Interval, idx []int) bool {
+	if o.passive {
+		return true
+	}
+	pool := stealthPool{seen: seen, placed: placed}
+	for si, a := range o.sentIvs {
+		skip := o.sentSkip[si]
+		if skip < 0 {
+			skip = pool.skipOf(a)
+		}
+		if !pool.windowReachesSkip(a, skip, need) {
+			return false
+		}
+	}
+	// With exactly two placements the only co-placement that can help an
+	// undecided center is the other dimension's interval, and pruneActive
+	// precomputed where that help suffices (witness segments); the
+	// residual is then a couple of overlap compares.
+	fastWit := len(placed) == 2
+	for d, i := range idx {
+		if o.decided[d][i] {
+			continue
+		}
+		if !fastWit {
+			if !pool.windowReachesSkip(placed[d], len(seen)+d, need) {
+				return false
+			}
+			continue
+		}
+		off := o.witOff[d]
+		other := placed[1-d]
+		hit := false
+		for _, s := range o.witArena[off[i]:off[i+1]] {
+			if s.Lo <= other.Hi && other.Lo <= s.Hi {
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			return false
+		}
+	}
+	return true
+}
+
+// searchBatched is the general search: every stealthy candidate tuple,
+// scored in every world by one ScoreBatch pass per world, and the strict
+// argmax of the expected width in enumeration order. It serves every
+// context searchRows does not, and is searchRows' test oracle.
+func (o *Optimal) searchBatched(ctx Context, cands [][]float64, fallback []interval.Interval) []interval.Interval {
+	e := &o.eval
+	k := len(ctx.OwnWidths)
+	need := ctx.N - ctx.F - 1
+	placed, idx := o.placed[:k], o.idx[:k]
 
 	// Enumerate the stealthy candidate tuples — in the lexicographic
 	// order the recursive search used (dimension 0 slowest), which the
@@ -171,71 +281,12 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 		o.batch.Add(fallback)
 		o.tuples = append(o.tuples, fallback...)
 	}
-	if cap(o.idx) < k {
-		o.idx = make([]int, k)
-	}
-	idx := o.idx[:k]
 	for d := range idx {
 		idx[d] = 0
 	}
-	nSeen := len(ctx.Seen)
-	// With exactly two placements the only co-placement that can help an
-	// undecided center is the other dimension's interval, and pruneActive
-	// precomputed where that help suffices (witness segments); the
-	// per-tuple residual is then a couple of overlap compares.
-	fastWit := !passive && k == 2
 	for {
-		for d := 0; d < k; d++ {
-			w := ctx.OwnWidths[d]
-			cc := cands[d][idx[d]]
-			placed[d] = interval.Interval{Lo: cc - w/2, Hi: cc + w/2}
-		}
-		stealthy := true
-		if !passive {
-			// Residual active checks: only the undecided obligations,
-			// against the full pool, with skips resolved up front. The
-			// conjunction is exactly StealthOK's (the decided parts were
-			// proven per center by pruneActive).
-			pool := stealthPool{seen: ctx.Seen, placed: placed}
-			for si, a := range o.sentIvs {
-				skip := o.sentSkip[si]
-				if skip < 0 {
-					skip = pool.skipOf(a)
-				}
-				if !pool.windowReachesSkip(a, skip, need) {
-					stealthy = false
-					break
-				}
-			}
-			if stealthy {
-				for d := 0; d < k; d++ {
-					if o.decided[d][idx[d]] {
-						continue
-					}
-					if fastWit {
-						off := o.witOff[d]
-						other := placed[1-d]
-						hit := false
-						for _, s := range o.witArena[off[idx[d]]:off[idx[d]+1]] {
-							if s.Lo <= other.Hi && other.Lo <= s.Hi {
-								hit = true
-								break
-							}
-						}
-						if !hit {
-							stealthy = false
-							break
-						}
-						continue
-					}
-					if !pool.windowReachesSkip(placed[d], nSeen+d, need) {
-						stealthy = false
-						break
-					}
-				}
-			}
-		}
-		if stealthy {
+		place(ctx.OwnWidths, cands, idx, placed)
+		if o.stealthy(ctx.Seen, need, placed, idx) {
 			o.batch.Add(placed)
 			o.tuples = append(o.tuples, placed...)
 		}
@@ -263,21 +314,17 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 	// (and the plan the argmax selects) are bit-identical to the scalar
 	// search.
 	o.sums = resizeFloats(o.sums, nb)
-	o.widths = resizeFloats(o.widths, nb)
 	o.counts = resizeInts(o.counts, nb)
-	if cap(o.oks) < nb {
-		o.oks = make([]bool, nb)
-	}
-	oks := o.oks[:nb]
+	widths, oks := o.scratchScores(nb)
 	for i := 0; i < nb; i++ {
 		o.sums[i] = 0
 		o.counts[i] = 0
 	}
 	for w := range e.sweeps {
-		e.sweeps[w].ScoreBatch(&o.batch, e.f, o.widths, oks)
+		e.sweeps[w].ScoreBatch(&o.batch, e.f, widths, oks)
 		for i, ok := range oks {
 			if ok {
-				o.sums[i] += o.widths[i]
+				o.sums[i] += widths[i]
 				o.counts[i]++
 			}
 		}
@@ -307,6 +354,174 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 	return o.tuples[bestIdx*k : (bestIdx+1)*k]
 }
 
+// rowState is searchRows' record of one dim-0 row: its upper bound on
+// the fusion width of any tuple in the row, and once scored, its best
+// width and the first column reaching it.
+type rowState struct {
+	ub, best float64
+	row, arg int // arg -1: not scored yet
+}
+
+// searchRows is the exact branch-and-bound search for the dominant
+// full-knowledge shape: one world (a fixed base of N-2 intervals) and
+// two placements. In one world a tuple's score is its fusion width —
+// (0+w)/1 in the batched search's accumulation, the same bits — so the
+// search only needs the first tuple, in enumeration order, whose width
+// is the strict maximum above the fallback's, and a cheap per-row bound
+// lets it score almost none of the rows.
+//
+// The row bound: fix dim-0 placement p0 and let m = N-F. Two queries on
+// the world's sweeper give outer, the hull of the points of base ∪ {p0}
+// covered at least m-1 times, and inner, the hull covered at least m
+// times. The second placement p1 adds at most one to any point's
+// coverage, so the fused set of base ∪ {p0, p1} lies inside outer, and
+// a fused endpoint outside inner lies in p1. If both endpoints lie
+// outside inner, the fused hull lies inside p1; otherwise one endpoint
+// lies in inner. Hence
+//
+//	|S| <= min(|outer|, max(inner.Hi-outer.Lo, outer.Hi-inner.Lo, w1))
+//
+// with w1 the widest dim-1 placement, and |S| <= min(w1, |outer|) when
+// no inner exists. Without outer no tuple of the row fuses. Every term
+// is a difference of the same float endpoints the kernel subtracts, and
+// float subtraction is monotone, so the bound holds bit for bit.
+//
+// Phase 1 visits rows in descending bound, scores each row's stealthy
+// tuples with one ScoreBatch, and stops once a bound cannot beat the
+// best width: that best is the optimum S*. Phase 2 finds the first row
+// in enumeration order whose best width is exactly S*, and returns its
+// first such tuple — the tuple the batched search's strict argmax
+// selects. Only rows bounded at or above S* can hold it, and they form a
+// prefix of the visiting order: those bounded above S* were all scored
+// in phase 1, and those bounded at S* come last, in enumeration order,
+// so phase 2 scores them only until one hits S* or passes the earliest
+// hit so far. When S* does not beat the fallback's width the fallback is kept, as
+// in the batched search.
+func (o *Optimal) searchRows(ctx Context, cands [][]float64, fallback []interval.Interval) []interval.Interval {
+	sw := &o.eval.sweeps[0]
+	w0, w1 := ctx.OwnWidths[0], ctx.OwnWidths[1]
+	w1Max := 0.0
+	for _, cc := range cands[1] {
+		if w := (cc + w1/2) - (cc - w1/2); w > w1Max {
+			w1Max = w
+		}
+	}
+	base := math.Inf(-1)
+	if ctx.StealthOK(fallback) {
+		o.batch.Reset(2)
+		o.batch.Add(fallback)
+		widths, oks := o.scratchScores(1)
+		sw.ScoreBatch(&o.batch, ctx.F, widths, oks)
+		if oks[0] {
+			base = widths[0]
+		}
+	}
+
+	if n := len(cands[0]); cap(o.rows) < n {
+		o.rows = make([]rowState, 0, n)
+	}
+	if n := len(cands[1]); cap(o.cols) < n {
+		o.cols = make([]int, 0, n)
+	}
+	rows := o.rows[:0]
+	one := o.placed[:1]
+	for i, c0 := range cands[0] {
+		one[0] = interval.Interval{Lo: c0 - w0/2, Hi: c0 + w0/2}
+		outer, ok := sw.FuseWith(one, ctx.F)
+		if !ok {
+			continue // no tuple of this row fuses
+		}
+		ub := w1Max
+		if inner, ok := sw.FuseWith(one, ctx.F-1); ok {
+			ub = math.Max(math.Max(inner.Hi-outer.Lo, outer.Hi-inner.Lo), w1Max)
+		}
+		rows = append(rows, rowState{ub: math.Min(ub, outer.Hi-outer.Lo), row: i, arg: -1})
+	}
+	o.rows = rows
+	// Descending bound, ties in enumeration order.
+	slices.SortFunc(rows, func(a, b rowState) int {
+		switch {
+		case a.ub > b.ub:
+			return -1
+		case a.ub < b.ub:
+			return 1
+		}
+		return a.row - b.row
+	})
+
+	best := base
+	for r := range rows {
+		if rows[r].ub <= best {
+			break
+		}
+		if s := o.scoreRow(ctx, cands, &rows[r]); s > best {
+			best = s
+		}
+	}
+	if !(best > base) {
+		return fallback
+	}
+	win := -1
+	for r := range rows {
+		if rows[r].ub < best {
+			break
+		}
+		if win >= 0 && rows[r].row > rows[win].row {
+			continue
+		}
+		if rows[r].arg < 0 {
+			o.scoreRow(ctx, cands, &rows[r])
+		}
+		if rows[r].best == best {
+			win = r
+		}
+	}
+	idx := o.idx[:2]
+	idx[0], idx[1] = rows[win].row, rows[win].arg
+	place(ctx.OwnWidths, cands, idx, o.placed[:2])
+	return o.placed[:2]
+}
+
+// scoreRow scores the stealthy tuples of dim-0 row r.row in the single
+// world, records the row's best width and its first column in
+// enumeration order in r, and returns the best width (-Inf when no
+// tuple of the row is stealthy and fusing).
+func (o *Optimal) scoreRow(ctx Context, cands [][]float64, r *rowState) float64 {
+	need := ctx.N - ctx.F - 1
+	placed, idx := o.placed[:2], o.idx[:2]
+	idx[0] = r.row
+	o.batch.Reset(2)
+	o.cols = o.cols[:0]
+	for j := range cands[1] {
+		idx[1] = j
+		place(ctx.OwnWidths, cands, idx, placed)
+		if o.stealthy(ctx.Seen, need, placed, idx) {
+			o.batch.Add(placed)
+			o.cols = append(o.cols, j)
+		}
+	}
+	r.best, r.arg = math.Inf(-1), 0
+	if n := len(o.cols); n > 0 {
+		widths, oks := o.scratchScores(n)
+		o.eval.sweeps[0].ScoreBatch(&o.batch, ctx.F, widths, oks)
+		for l, ok := range oks {
+			if ok && widths[l] > r.best {
+				r.best, r.arg = widths[l], o.cols[l]
+			}
+		}
+	}
+	return r.best
+}
+
+// scratchScores returns the reused per-lane score buffers sized to n.
+func (o *Optimal) scratchScores(n int) ([]float64, []bool) {
+	o.widths = resizeFloats(o.widths, n)
+	if cap(o.oks) < n {
+		o.oks = make([]bool, n)
+	}
+	return o.widths, o.oks[:n]
+}
+
 // resizeFloats returns buf with length n, reusing capacity.
 func resizeFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
@@ -323,6 +538,14 @@ func resizeInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
+// maxTuples returns the effective MaxTuples.
+func (o *Optimal) maxTuples() int {
+	if o.MaxTuples > 0 {
+		return o.MaxTuples
+	}
+	return defaultMaxTuples
+}
+
 // candidateSets builds per-interval candidate center sets, thinning the
 // grid until the total tuple count respects MaxTuples, then pruning
 // dominated placements. It returns nil when any interval admits no
@@ -337,10 +560,7 @@ func resizeInts(buf []int, n int) []int {
 // plan — are bit-identical to the unpruned search; pruning only removes
 // placements the per-tuple stealth check would have rejected anyway.
 func (o *Optimal) candidateSets(ctx Context) [][]float64 {
-	maxTuples := o.MaxTuples
-	if maxTuples <= 0 {
-		maxTuples = defaultMaxTuples
-	}
+	maxTuples := o.maxTuples()
 	step := ctx.step()
 	const maxDoublings = 12
 	// sets and the per-dimension backing arrays are scratch reused
@@ -907,7 +1127,11 @@ func (h *fnvHash) float(v float64) { h.word(math.Float64bits(round6(v))) }
 // canonical ordering as the old string key, with section markers so
 // field boundaries cannot alias. Seen interval order does not affect
 // the optimum, so Seen is sorted (by Lo, then Hi) into a reused scratch
-// before hashing; likewise the unseen widths.
+// before hashing; likewise the unseen widths. The search budgets
+// (MaxExact, MCSamples, and the strategy's own MaxTuples) shape the plan
+// too, so their effective values are part of the key: one Optimal
+// planning the same context under two budgets must not replay the
+// first budget's plan.
 func (o *Optimal) hashContext(ctx Context) uint64 {
 	h := fnvHash(fnvOffset64)
 	h.int(ctx.N)
@@ -916,6 +1140,9 @@ func (o *Optimal) hashContext(ctx Context) uint64 {
 	h.float(ctx.Delta.Lo)
 	h.float(ctx.Delta.Hi)
 	h.float(ctx.step())
+	h.int(ctx.maxExact())
+	h.int(ctx.mcSamples())
+	h.int(o.maxTuples())
 	o.seenSorted = append(o.seenSorted[:0], ctx.Seen...)
 	sortIntervals(o.seenSorted)
 	for _, s := range o.seenSorted {

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -150,6 +151,16 @@ func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
 			},
 			Step: 0.1,
 		},
+		{ // active, full knowledge, two placements (the row search)
+			N: 5, F: 2, Sent: 3,
+			OwnWidths: []float64{0.6, 0.6},
+			Seen: []interval.Interval{
+				interval.MustNew(9.4, 10.4),
+				interval.MustNew(9.6, 10.6),
+				interval.MustNew(9.5, 10.5),
+			},
+			Step: 0.1,
+		},
 		{ // passive, exact world enumeration over two unseen sensors
 			N: 3, F: 1, Sent: 0,
 			OwnWidths:    []float64{0.5},
@@ -172,7 +183,7 @@ func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
 			shift := float64(iter%64+1) * 1e-3
 			c := base
 			c.Delta = interval.MustNew(9.9+shift, 10.1+shift)
-			if plan := o.Plan(c); len(plan) != 1 {
+			if plan := o.Plan(c); len(plan) != len(c.OwnWidths) {
 				t.Fatalf("fixture %d: bad plan %v", fi, plan)
 			}
 		}
@@ -371,4 +382,177 @@ func TestOptimalMonteCarloFallbackDeterministic(t *testing.T) {
 	if !p1[0].Equal(p2[0]) {
 		t.Fatalf("MC fallback nondeterministic: %v vs %v", p1, p2)
 	}
+}
+
+// TestOptimalMemoKeysSearchBudgets pins the plan-memo key over the
+// search budgets: one Optimal that plans a context exactly and then
+// plans the same fields with MaxExact 1 (forcing Monte Carlo sampling)
+// must return the sampled plan, not replay the memoized exact one.
+func TestOptimalMemoKeysSearchBudgets(t *testing.T) {
+	exact := Context{
+		N: 3, F: 1, Sent: 1,
+		Delta:        interval.MustNew(-0.5, 0.5),
+		OwnWidths:    []float64{2},
+		Seen:         []interval.Interval{interval.MustNew(-1.5, 1.5)},
+		UnseenWidths: []float64{2},
+		Step:         0.5,
+	}
+	sampled := exact
+	sampled.MaxExact = 1
+	wantExact := append([]interval.Interval(nil), NewOptimal().Plan(exact)...)
+	wantSampled := append([]interval.Interval(nil), NewOptimal().Plan(sampled)...)
+	if wantExact[0].Equal(wantSampled[0]) {
+		t.Fatalf("fixture: exact and sampled plans coincide (%v)", wantExact)
+	}
+	o := NewOptimal()
+	if got := o.Plan(exact); !got[0].Equal(wantExact[0]) {
+		t.Fatalf("exact plan = %v, want %v", got, wantExact)
+	}
+	if got := o.Plan(sampled); !got[0].Equal(wantSampled[0]) {
+		t.Fatalf("MaxExact=1 after an exact plan = %v, want %v", got, wantSampled)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Optimal, *Context)
+	}{
+		{"MCSamples", func(_ *Optimal, c *Context) { c.MCSamples = 7 }},
+		{"MaxTuples", func(o *Optimal, _ *Context) { o.MaxTuples = 3 }},
+	} {
+		o := NewOptimal()
+		c := exact
+		k0 := o.hashContext(c)
+		tc.mutate(o, &c)
+		if o.hashContext(c) == k0 {
+			t.Errorf("%s does not reach the memo key", tc.name)
+		}
+	}
+}
+
+// batchedPlan runs the general batched search on ctx with a fresh
+// Optimal, bypassing the row search — the oracle searchRows must match.
+func batchedPlan(ctx Context) []interval.Interval {
+	o := NewOptimal()
+	cands, fallback, ok := o.prepare(ctx)
+	if !ok {
+		return fallback
+	}
+	return o.searchBatched(ctx, cands, fallback)
+}
+
+// randomFullKnowledgeContext draws a single-world context placing two
+// intervals: full knowledge (N-2 seen intervals, none unseen), or, for
+// about one in five, one unseen sensor resolved by a single Monte Carlo
+// world, which also reaches the passive regime. grid selects integer
+// endpoints, widths and step, where width ties between tuples and with
+// the fallback are common.
+func randomFullKnowledgeContext(rng *rand.Rand, grid bool) Context {
+	n := 4 + rng.Intn(4)
+	f := 1 + rng.Intn(n-2)
+	val := func(span int) float64 {
+		if grid {
+			return float64(rng.Intn(2*span+1) - span)
+		}
+		return (rng.Float64()*2 - 1) * float64(span)
+	}
+	width := func() float64 {
+		if grid {
+			return float64(1 + rng.Intn(6))
+		}
+		return 0.5 + 5*rng.Float64()
+	}
+	c := Context{N: n, F: f, Step: 1}
+	if !grid {
+		c.Step = []float64{0.5, 0.3, 0.75}[rng.Intn(3)]
+	}
+	c.Delta = interval.MustCentered(val(1), width()/2)
+	c.OwnWidths = []float64{width(), width()}
+	nSeen := n - 2
+	if rng.Intn(5) == 0 {
+		nSeen = rng.Intn(n - 2)
+		c.MaxExact, c.MCSamples = 1, 1
+		for u := 0; u < n-2-nSeen; u++ {
+			c.UnseenWidths = append(c.UnseenWidths, width())
+		}
+	}
+	for s := 0; s < nSeen; s++ {
+		c.Seen = append(c.Seen, interval.MustCentered(val(3), width()))
+	}
+	if nSeen > 0 && rng.Intn(3) == 0 {
+		c.OwnSent = []interval.Interval{c.Seen[rng.Intn(nSeen)]}
+	}
+	c.Sent = nSeen
+	return c
+}
+
+// TestOptimalFullKnowledgeMatchesBatchedSearch is the differential
+// oracle for the row search: on random single-world two-placement
+// contexts, Plan (which takes searchRows) must return bit for bit the
+// plan of the batched search called directly. The counters make sure
+// the draw covers what makes the argmax delicate: fallback ties, rows
+// whose tuples are all unstealthy, and optima reached in several rows.
+func TestOptimalFullKnowledgeMatchesBatchedSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	var rowPath, fallbackTies, deadRows, multiRow int
+	for trial := 0; trial < 4000; trial++ {
+		c := randomFullKnowledgeContext(rng, trial%2 == 0)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("fixture: %v", err)
+		}
+		want := batchedPlan(c)
+		o := NewOptimal()
+		got := o.Plan(c)
+		if len(got) != len(want) || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+			t.Fatalf("ctx=%+v: row search %v, batched search %v", c, got, want)
+		}
+		if len(o.eval.sweeps) != 1 || c.N-c.F-1 <= 0 || o.rows == nil {
+			continue
+		}
+		rowPath++
+		best, hits := math.Inf(-1), 0
+		for _, r := range o.rows {
+			if r.arg < 0 {
+				continue
+			}
+			if math.IsInf(r.best, -1) {
+				deadRows++
+			}
+			switch {
+			case r.best > best:
+				best, hits = r.best, 1
+			case r.best == best:
+				hits++
+			}
+		}
+		if hits > 1 {
+			multiRow++
+		}
+		if got[0].Equal(o.fallback[0]) && got[1].Equal(o.fallback[1]) && !math.IsInf(best, -1) {
+			if w, ok := o.eval.sweeps[0].WidthWith(o.fallback, c.F); ok && w == best {
+				fallbackTies++
+			}
+		}
+	}
+	t.Logf("row path %d, fallback ties %d, dead rows %d, multi-row optima %d",
+		rowPath, fallbackTies, deadRows, multiRow)
+	if rowPath < 1000 || fallbackTies == 0 || deadRows == 0 || multiRow == 0 {
+		t.Fatalf("draw too narrow: row path %d, fallback ties %d, dead rows %d, multi-row optima %d",
+			rowPath, fallbackTies, deadRows, multiRow)
+	}
+}
+
+// FuzzOptimalFullKnowledge drives the row search against the batched
+// oracle on fuzzer-chosen single-world contexts.
+func FuzzOptimalFullKnowledge(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 11, 2014} {
+		f.Add(seed, true)
+		f.Add(seed, false)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, grid bool) {
+		c := randomFullKnowledgeContext(rand.New(rand.NewSource(seed)), grid)
+		want := batchedPlan(c)
+		got := NewOptimal().Plan(c)
+		if len(got) != len(want) || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+			t.Fatalf("ctx=%+v: row search %v, batched search %v", c, got, want)
+		}
+	})
 }
