@@ -14,7 +14,7 @@ GO ?= go
 # overwrites the day's file rather than accumulating per-run noise).
 BENCH_JSON := BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: all build crosscompile fmt vet docs test race bench bench-kernels benchsmoke bench-json bench-diff scenarios fuzz-short chaos chaos-short profile ci
+.PHONY: all build crosscompile fmt vet docs test race test-purego test-perfbench bench bench-kernels benchsmoke bench-json bench-diff scenarios fuzz-short chaos chaos-short profile ci
 
 all: build
 
@@ -54,20 +54,33 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The generic-only build (what arm64 ships, and -tags purego on amd64):
+# the whole suite again with the assembly kernel compiled out, so the
+# non-AVX2 batch path is tested, not just compiled.
+test-purego:
+	$(GO) test -tags purego ./...
+
+# The end-to-end benchmark harness's own tests: every workload runs tiny
+# and must print every metric, output checks must count corruption, and
+# the ledger math must hold. perfbench is a separate module, so ./...
+# skips it.
+test-perfbench:
+	cd perfbench && $(GO) test -count=1 .
+
 # Headline benchmarks: hot-path fusion and results-sink allocs, campaign
 # scaling.
 bench:
-	$(GO) test -bench 'BenchmarkFuserReuse|BenchmarkFusePerCall' -benchmem ./internal/fusion/
+	$(GO) test -bench 'BenchmarkFusePerCall' -benchmem ./internal/fusion/
 	$(GO) test -bench 'BenchmarkResultsSink' -benchmem ./internal/results/
 	$(GO) test -bench 'BenchmarkCampaignParallel' -benchtime 2x .
 
-# Apples-to-apples kernel comparison: the batch benchmarks under each
-# forced dispatch mode (SENSORFUSION_KERNEL overrides the CPU-detected
+# Apples-to-apples kernel comparison: the batch benchmarks under both
+# forced dispatch modes (SENSORFUSION_KERNEL overrides the CPU-detected
 # default at process start; unavailable kernels are skipped by the env
 # hook, so the avx2 row silently equals the default on older CPUs — use
 # the printed kernel-tagged rows, not the mode label, when comparing).
 bench-kernels:
-	@for k in generic unrolled avx2; do \
+	@for k in generic avx2; do \
 		echo "=== SENSORFUSION_KERNEL=$$k ==="; \
 		SENSORFUSION_KERNEL=$$k $(GO) test -run '^$$' \
 			-bench 'BenchmarkSweeperFuseBatch|BenchmarkSweeperFuseScalar' \
@@ -88,7 +101,7 @@ benchsmoke:
 # record cheap while giving the fast benchmarks enough iterations that
 # the bench-diff time gate measures code, not single-iteration warmup
 # noise; for publishable numbers raise it further.
-BENCH_HEADLINE := BenchmarkFuserReuse|BenchmarkResultsSink|BenchmarkCampaignParallel|BenchmarkCampaignBatched|BenchmarkBoundedMerge|BenchmarkRoundClean|BenchmarkExpectedWidthAttacked|BenchmarkSimulatedRound|BenchmarkAttackOptimal|BenchmarkSweeperFuse|BenchmarkScenarioFaultsStep
+BENCH_HEADLINE := BenchmarkResultsSink|BenchmarkCampaignParallel|BenchmarkCampaignBatched|BenchmarkBoundedMerge|BenchmarkRoundClean|BenchmarkExpectedWidthAttacked|BenchmarkSimulatedRound|BenchmarkAttackOptimal|BenchmarkSweeperFuse|BenchmarkScenarioFaultsStep
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_HEADLINE)' -benchmem -benchtime 100ms -json ./... > $(BENCH_JSON)
@@ -165,4 +178,4 @@ profile:
 	$(GO) tool pprof -top -nodecount 10 cpu.prof
 	@echo "profiles written: cpu.prof mem.prof (go tool pprof cpu.prof)"
 
-ci: build crosscompile fmt vet docs race chaos-short scenarios fuzz-short benchsmoke bench-json bench-diff
+ci: build crosscompile fmt vet docs race test-purego test-perfbench chaos-short scenarios fuzz-short benchsmoke bench-json bench-diff

@@ -9,8 +9,8 @@
 //   - BenchmarkExpectedWidthAttacked — the attacked expectation, the
 //     campaign's dominant cost, end to end.
 //   - BenchmarkSweeperFuseBatch / BenchmarkSweeperFuseBatchWide vs
-//     BenchmarkSweeperFuseScalar — the dispatched Marzullo lane kernel
-//     (AVX2 on capable amd64, `make bench-kernels` compares every mode)
+//     BenchmarkSweeperFuseScalar — the dispatched Marzullo batch kernel
+//     (AVX2 on capable amd64, `make bench-kernels` compares both modes)
 //     against per-candidate scoring, at 64 and 512 candidates.
 //   - BenchmarkScenarioFaultsStep (internal/experiments) — one step of
 //     the fault-injection scenario generator on its Sweeper hot path.
@@ -23,9 +23,8 @@
 //     Table I streams split each configuration into three engine items
 //     so heavy rows parallelize internally.
 //   - BenchmarkSimulatedRound, BenchmarkCampaignBatched,
-//     BenchmarkBoundedMerge, BenchmarkFuserReuse, BenchmarkResultsSink
-//     — round engine, task batching, merge window, fusion and sink
-//     allocation behavior.
+//     BenchmarkBoundedMerge, BenchmarkResultsSink — round engine, task
+//     batching, merge window, and sink allocation behavior.
 package sensorfusion_test
 
 import (

@@ -36,14 +36,14 @@
 // configuration runs as three independent engine items (attacked
 // ascending, attacked descending, clean baseline) reassembled in
 // emission order, so one expensive row spreads across the pool without
-// moving a byte. The hot path underneath is a zero-allocation
-// fusion.Fuser that reuses its sort/sweep buffers across rounds, a
-// batched Marzullo kernel (interval.Sweeper.FuseBatch) that scores many
-// candidate placements per call bit-identically to scalar fusion —
-// with runtime-dispatched lane kernels (generic, unrolled pure Go, and
-// AVX2 assembly selected by CPU detection; SENSORFUSION_KERNEL or
-// SetKernel overrides) vectorizing the hot k≤2 shapes — and a
-// plan search whose uncached path allocates nothing (arena-backed
+// moving a byte. The hot path underneath is one Marzullo scan,
+// interval.Sweeper, whose buffers each simulator reuses across rounds
+// without allocating; a batched form of it (interval.Sweeper.FuseBatch)
+// that scores many candidate placements per call bit-identically to
+// scalar fusion — with a runtime-dispatched kernel (generic, or AVX2
+// assembly for k=2 placements selected by CPU detection;
+// SENSORFUSION_KERNEL or SetKernel overrides); and a plan search whose
+// uncached path allocates nothing (arena-backed
 // memoization and witness precomputation). The cmd/repro subcommands
 // all take -parallel and -seed and inherit the same guarantee; campaign
 // and coordinate also take -cpuprofile/-memprofile (see `make

@@ -106,9 +106,6 @@ func (g Greedy) Plan(ctx Context) []interval.Interval {
 // anchor finds the extreme point covered by at least n-f-1 intervals of
 // the reliable pool (seen + already-planned in this plan).
 func (g Greedy) anchor(ctx Context, already []interval.Interval, up bool) (float64, bool) {
-	pool := make([]interval.Interval, 0, len(ctx.Seen)+len(already))
-	pool = append(pool, ctx.Seen...)
-	pool = append(pool, already...)
 	need := ctx.N - ctx.F - 1
 	if need <= 0 {
 		// Unconstrained: any anchor works; use Delta's edge.
@@ -117,8 +114,11 @@ func (g Greedy) anchor(ctx Context, already []interval.Interval, up bool) (float
 		}
 		return ctx.Delta.Lo, true
 	}
-	cov := interval.BuildCoverage(pool)
-	span, ok := cov.Span(need)
+	// The hull of the need-covered points is the pool's fusion interval
+	// at fault bound len(pool)-need.
+	var sw interval.Sweeper
+	sw.Preload(ctx.Seen)
+	span, ok := sw.FuseWith(already, len(ctx.Seen)+len(already)-need)
 	if !ok {
 		return 0, false
 	}

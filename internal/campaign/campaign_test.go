@@ -200,13 +200,37 @@ func TestStreamTaskErrorIsLowestIndexed(t *testing.T) {
 	}
 }
 
+// TestStreamEmitErrorStopsRun: tasks past the failing emit index are
+// held until emit(5) has failed and the engine has recorded it, so no
+// task can slip past the failure by finishing early; only the claims
+// in flight at that moment (at most one per worker) may still run.
 func TestStreamEmitErrorStopsRun(t *testing.T) {
+	const failAt = 5
 	for _, workers := range []int{1, 2, 8} {
-		var ran atomic.Int32
-		err := Stream(100, Options{Workers: workers},
-			func(i int, _ *rand.Rand) (int, error) { ran.Add(1); return i, nil },
+		var ran, early atomic.Int32
+		gate := make(chan struct{})
+		opts := Options{
+			Workers: workers,
+			// Run marks the run failed before it reports the task done,
+			// and emit(5) fails inside whichever of tasks 0..5 finishes
+			// last, so the last of their OnTaskDone calls comes after
+			// the failure is recorded.
+			OnTaskDone: func(i int) {
+				if i <= failAt && early.Add(1) == failAt+1 {
+					close(gate)
+				}
+			},
+		}
+		err := Stream(100, opts,
+			func(i int, _ *rand.Rand) (int, error) {
+				if i > failAt {
+					<-gate
+				}
+				ran.Add(1)
+				return i, nil
+			},
 			func(i int, v int) error {
-				if i == 5 {
+				if i == failAt {
 					return errors.New("sink full")
 				}
 				return nil
@@ -214,10 +238,8 @@ func TestStreamEmitErrorStopsRun(t *testing.T) {
 		if err == nil || err.Error() != "sink full" {
 			t.Fatalf("workers=%d: got %v, want the sink error", workers, err)
 		}
-		// The engine must stop claiming soon after the emit failure; with
-		// w workers at most a handful of in-flight tasks finish.
-		if n := ran.Load(); n == 100 && workers < 100 {
-			t.Fatalf("workers=%d: all tasks ran despite emit failure", workers)
+		if n := ran.Load(); n > failAt+1+int32(workers) {
+			t.Fatalf("workers=%d: %d tasks ran, want at most %d after the emit failure", workers, n, failAt+1+workers)
 		}
 	}
 }

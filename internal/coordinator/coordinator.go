@@ -1063,6 +1063,10 @@ func (c *coord) completeLocked(i, n int, elapsed time.Duration, attempt int, how
 	return saveErr
 }
 
+// errShardPublished aborts a primary attempt whose shard a speculative
+// duplicate already published.
+var errShardPublished = errors.New("coordinator: shard already published by a speculative attempt")
+
 // attemptShardTo runs one worker attempt with its files and deadline
 // wired up, writing the gzip record stream to path (the canonical shard
 // file for a primary attempt, a side file for a speculative one). The
@@ -1084,7 +1088,18 @@ func (c *coord) attemptShardTo(ctx context.Context, i, attempt int, path string,
 		// directory unambiguous.
 		c.fsys.Remove(legacyShardFile(c.opts.StateDir, i))
 	}
+	// The truncating open happens under c.mu, the lock a speculative
+	// winner holds while it renames its side file over the canonical name
+	// and completes the shard: a primary's open either precedes the
+	// rename (its handle detaches harmlessly) or sees the shard done and
+	// backs off, never truncating a published shard.
+	c.mu.Lock()
+	if canonical && c.man.Shard[i].State == shardDone {
+		c.mu.Unlock()
+		return errShardPublished
+	}
 	out, err := c.fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	c.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,6 +142,80 @@ func TestCoordinateSpeculation(t *testing.T) {
 	}
 	if _, err := os.Stat(specShardFile(opts.StateDir, 1)); !os.IsNotExist(err) {
 		t.Fatalf("speculative side file should be renamed away, stat err = %v", err)
+	}
+}
+
+// publishRaceFS holds the primary attempt of shard 0 between its
+// legacy-name Remove and its truncating open until a speculative
+// duplicate has renamed its side file over the canonical shard name —
+// the interleaving in which a late primary used to truncate a published
+// shard.
+type publishRaceFS struct {
+	chaos.FS
+	legacy, canonical string
+	blocked           atomic.Bool
+	published         chan struct{}
+	once              sync.Once
+}
+
+func (fs *publishRaceFS) Remove(name string) error {
+	if name == fs.legacy && fs.blocked.CompareAndSwap(false, true) {
+		select {
+		case <-fs.published:
+		case <-time.After(5 * time.Second): // backstop: fail, do not hang
+		}
+	}
+	return fs.FS.Remove(name)
+}
+
+func (fs *publishRaceFS) Rename(oldpath, newpath string) error {
+	err := fs.FS.Rename(oldpath, newpath)
+	if err == nil && newpath == fs.canonical {
+		fs.once.Do(func() { close(fs.published) })
+	}
+	return err
+}
+
+// TestCoordinateLatePrimaryKeepsPublishedShard: shard 0's primary stalls
+// before opening its shard file, shard 1 completes, the idle worker
+// speculates on shard 0 and publishes it. The released primary must back
+// off instead of truncating the published file, so the merge still sees
+// every record. A canceled attempt writes nothing, like a killed worker
+// process.
+func TestCoordinateLatePrimaryKeepsPublishedShard(t *testing.T) {
+	const total, shards = 8, 2
+	opts := baseOptions(t, total, shards)
+	opts.Workers = 2
+	opts.Speculate = true
+	fsys := &publishRaceFS{
+		FS:        chaos.OS,
+		legacy:    legacyShardFile(opts.StateDir, 0),
+		canonical: shardFile(opts.StateDir, 0),
+		published: make(chan struct{}),
+	}
+	opts.FS = fsys
+	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return testWorker(total, nil, nil)(ctx, task, out, logw)
+	}
+	var buf bytes.Buffer
+	opts.Sink = results.NewJSONL(&buf)
+	res, err := Coordinate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fsys.published:
+	default:
+		t.Fatal("the speculative attempt never published shard 0; the interleaving was not forced")
+	}
+	if res.Speculated != 1 {
+		t.Fatalf("Speculated = %d, want 1", res.Speculated)
+	}
+	if buf.String() != serialBytes(t, total) {
+		t.Fatal("a late primary attempt clobbered the published shard")
 	}
 }
 

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sensorfusion/internal/interval"
@@ -200,19 +201,24 @@ func TestScoreBatchZeroAllocs(t *testing.T) {
 // bases, empty base, k=0 all-sentinel lanes, batches straddling the
 // four-lane assembly groups), plus the SetKernel API contract.
 func TestFuseBatchKernelsForcedDispatch(t *testing.T) {
-	if err := interval.SetKernel("no-such-kernel"); err == nil {
-		t.Fatal("SetKernel accepted an unknown kernel name")
+	for _, bad := range []string{"no-such-kernel", "unrolled"} {
+		if err := interval.SetKernel(bad); err == nil {
+			t.Fatalf("SetKernel accepted unknown kernel name %q", bad)
+		}
 	}
+	// generic always; avx2 only where the CPU check passed, which needs
+	// the amd64 assembly build.
 	names := interval.KernelNames()
-	if len(names) < 2 {
-		t.Fatalf("expected at least generic+unrolled kernels, got %v", names)
+	avx2 := len(names) == 2 && names[1] == "avx2" && runtime.GOARCH == "amd64"
+	if names[0] != "generic" || (len(names) > 1 && !avx2) {
+		t.Fatalf("KernelNames() = %v, want [generic] or [generic avx2] (amd64 only)", names)
 	}
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		seen[n] = true
+	prev := interval.KernelName()
+	if err := interval.SetKernel("avx2"); (err == nil) != avx2 {
+		t.Fatalf("SetKernel(avx2) = %v with kernels %v", err, names)
 	}
-	if !seen["generic"] || !seen["unrolled"] {
-		t.Fatalf("kernel list %v missing generic or unrolled", names)
+	if err := interval.SetKernel(prev); err != nil {
+		t.Fatal(err)
 	}
 
 	var sw interval.Sweeper

@@ -27,7 +27,8 @@ var ErrNoFusion = errors.New("fusion: no point is covered by n-f intervals")
 var ErrBadFaultBound = errors.New("fusion: fault bound out of range")
 
 // Fuse computes Marzullo's fusion interval S_{N,f} for the given
-// intervals and fault bound f using an O(n log n) endpoint sweep.
+// intervals and fault bound f with interval.Sweeper's endpoint scan —
+// the same scan the round simulator and the attacker run.
 //
 // f must satisfy 0 <= f < n. The paper additionally assumes f < ceil(n/2)
 // so that the result is bounded by sensor widths (see SafeFaultBound);
@@ -41,8 +42,9 @@ func Fuse(ivs []interval.Interval, f int) (interval.Interval, error) {
 	if f < 0 || f >= n {
 		return interval.Interval{}, fmt.Errorf("%w: f=%d with n=%d", ErrBadFaultBound, f, n)
 	}
-	cov := interval.BuildCoverage(ivs)
-	s, ok := cov.Span(n - f)
+	var sw interval.Sweeper
+	sw.Preload(ivs)
+	s, ok := sw.FuseWith(nil, f)
 	if !ok {
 		return interval.Interval{}, fmt.Errorf("%w: n=%d f=%d", ErrNoFusion, n, f)
 	}

@@ -31,8 +31,8 @@ func TestFuseF0IsIntersection(t *testing.T) {
 	if !ok {
 		t.Fatal("test fixture must have common intersection")
 	}
-	if !got.Equal(want) {
-		t.Fatalf("Fuse(f=0) = %v, want intersection %v", got, want)
+	if !got.Equal(want) || !got.Equal(interval.MustNew(3.5, 4)) {
+		t.Fatalf("Fuse(f=0) = %v, want intersection %v = [3.5, 4]", got, want)
 	}
 }
 
@@ -43,8 +43,8 @@ func TestFuseFNMinus1IsHull(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := interval.HullAll(ivs...)
-	if !got.Equal(want) {
-		t.Fatalf("Fuse(f=n-1) = %v, want hull %v", got, want)
+	if !got.Equal(want) || !got.Equal(interval.MustNew(0, 9)) {
+		t.Fatalf("Fuse(f=n-1) = %v, want hull %v = [0, 9]", got, want)
 	}
 }
 
@@ -64,32 +64,34 @@ func TestFuseMonotoneInF(t *testing.T) {
 }
 
 func TestFuseErrors(t *testing.T) {
-	ivs := fig1Intervals()
-	if _, err := Fuse(nil, 0); !errors.Is(err, ErrNoFusion) {
-		t.Fatalf("empty input: err = %v", err)
-	}
-	if _, err := Fuse(ivs, -1); !errors.Is(err, ErrBadFaultBound) {
-		t.Fatalf("f=-1: err = %v", err)
-	}
-	if _, err := Fuse(ivs, len(ivs)); !errors.Is(err, ErrBadFaultBound) {
-		t.Fatalf("f=n: err = %v", err)
-	}
+	one := []interval.Interval{interval.MustNew(0, 1)}
+	twoApart := []interval.Interval{interval.MustNew(0, 1), interval.MustNew(5, 6)}
 	// No common point at coverage n-f.
 	disjoint := []interval.Interval{
 		interval.MustNew(0, 1),
 		interval.MustNew(10, 11),
 		interval.MustNew(20, 21),
 	}
-	if _, err := Fuse(disjoint, 0); !errors.Is(err, ErrNoFusion) {
-		t.Fatalf("disjoint f=0: err = %v", err)
+	tests := []struct {
+		name string
+		ivs  []interval.Interval
+		f    int
+		want error
+	}{
+		{"empty input", nil, 0, ErrNoFusion},
+		{"fig1 f=-1", fig1Intervals(), -1, ErrBadFaultBound},
+		{"fig1 f=n", fig1Intervals(), 5, ErrBadFaultBound},
+		{"single f=-1", one, -1, ErrBadFaultBound},
+		{"single f=n", one, 1, ErrBadFaultBound},
+		{"two apart f=0", twoApart, 0, ErrNoFusion},
+		{"two apart f=-1 (coverage above n)", twoApart, -1, ErrBadFaultBound},
+		{"disjoint f=0", disjoint, 0, ErrNoFusion},
+		{"disjoint f=1", disjoint, 1, ErrNoFusion},
 	}
-	if _, err := Fuse(disjoint, 1); !errors.Is(err, ErrNoFusion) {
-		t.Fatalf("disjoint f=1: err = %v", err)
-	}
-	// f=2 works: hull.
-	s, err := Fuse(disjoint, 2)
-	if err != nil || !s.Equal(interval.MustNew(0, 21)) {
-		t.Fatalf("disjoint f=2 = %v, %v", s, err)
+	for _, tc := range tests {
+		if _, err := Fuse(tc.ivs, tc.f); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -102,37 +104,66 @@ func TestFuseSingleSensor(t *testing.T) {
 }
 
 // TestFuseMarzulloClassic reproduces the classic three-clock example from
-// Marzullo's algorithm literature: [8,12], [11,13], [14,15] with f=1
-// fuses to [11,13] (the span of points covered by >= 2 intervals).
+// Marzullo's algorithm literature — [8,12], [11,13], [14,15] with f=1
+// fuses to [11,12], the span of points covered by >= 2 intervals — next
+// to the exact endpoint edge cases: duplicate intervals, intervals that
+// only touch, and fault bounds that leave a gap inside the hull.
 func TestFuseMarzulloClassic(t *testing.T) {
-	ivs := []interval.Interval{
-		interval.MustNew(8, 12),
-		interval.MustNew(11, 13),
-		interval.MustNew(14, 15),
+	tests := []struct {
+		name string
+		ivs  []interval.Interval
+		f    int
+		want interval.Interval
+	}{
+		{"three clocks", []interval.Interval{
+			interval.MustNew(8, 12), interval.MustNew(11, 13), interval.MustNew(14, 15),
+		}, 1, interval.MustNew(11, 12)},
+		{"duplicates", []interval.Interval{
+			interval.MustNew(1, 3), interval.MustNew(1, 3), interval.MustNew(1, 3),
+		}, 0, interval.MustNew(1, 3)},
+		{"touching endpoints", []interval.Interval{
+			interval.MustNew(0, 2), interval.MustNew(2, 4),
+		}, 0, interval.Point(2)},
+		{"two apart hull", []interval.Interval{
+			interval.MustNew(0, 1), interval.MustNew(5, 6),
+		}, 1, interval.MustNew(0, 6)},
+		{"disjoint hull", []interval.Interval{
+			interval.MustNew(0, 1), interval.MustNew(10, 11), interval.MustNew(20, 21),
+		}, 2, interval.MustNew(0, 21)},
 	}
-	s, err := Fuse(ivs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Equal(interval.MustNew(11, 12)) {
-		t.Fatalf("fused = %v, want [11, 12]", s)
+	for _, tc := range tests {
+		s, err := Fuse(tc.ivs, tc.f)
+		if err != nil || !s.Equal(tc.want) {
+			t.Errorf("%s: fused = %v, %v, want %v", tc.name, s, err, tc.want)
+		}
 	}
 }
 
+// TestFuseAgainstNaiveRandomized cycles through three input families:
+// wide integer endpoints, narrow integer endpoints (dense with
+// duplicate and touching endpoints, where a two-pointer sweep could
+// diverge from the containment count), and continuous endpoints.
 func TestFuseAgainstNaiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 1500; trial++ {
 		n := 1 + rng.Intn(9)
 		ivs := make([]interval.Interval, n)
 		for k := range ivs {
-			lo := float64(rng.Intn(31) - 15)
-			w := float64(rng.Intn(12))
+			var lo, w float64
+			switch trial % 3 {
+			case 0:
+				lo, w = float64(rng.Intn(31)-15), float64(rng.Intn(12))
+			case 1:
+				lo, w = float64(rng.Intn(9)-4), float64(rng.Intn(5))
+			default:
+				lo, w = (rng.Float64()-0.5)*8, rng.Float64()*4
+			}
 			ivs[k] = interval.Interval{Lo: lo, Hi: lo + w}
 		}
 		for f := 0; f < n; f++ {
 			a, errA := Fuse(ivs, f)
 			b, errB := FuseNaive(ivs, f)
-			if (errA == nil) != (errB == nil) {
+			if (errA == nil) != (errB == nil) || (errA != nil && !errors.Is(errA, ErrNoFusion)) {
 				t.Fatalf("trial %d f=%d: sweep err=%v naive err=%v (ivs %v)", trial, f, errA, errB, ivs)
 			}
 			if errA == nil && !a.Equal(b) {
@@ -287,5 +318,24 @@ func TestComputeResult(t *testing.T) {
 	}
 	if _, err := Compute(nil, 0); err == nil {
 		t.Fatal("Compute of nothing should fail")
+	}
+}
+
+// BenchmarkFusePerCall measures the convenience Fuse, which builds a
+// fresh Sweeper (and so allocates its endpoint buffers) on every call.
+func BenchmarkFusePerCall(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	ivs := make([]interval.Interval, 8)
+	for k := range ivs {
+		w := 0.5 + rng.Float64()*5
+		ivs[k] = interval.MustCentered((rng.Float64()-0.5)*w, w)
+	}
+	f := SafeFaultBound(len(ivs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fuse(ivs, f); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -119,30 +119,7 @@ func (s *Sweeper) FuseBatch(b *Batch, f int, out []Interval, ok []bool) {
 	if len(out) != b.n || len(ok) != b.n {
 		panic("interval: FuseBatch output length mismatch")
 	}
-	nb := len(s.los)
-	n := nb + b.k
-	need := n - f
-	if n == 0 || f < 0 || need <= 0 {
-		for i := range ok {
-			out[i], ok[i] = Interval{}, false
-		}
-		return
-	}
-	// Lane kernels (kernel.go) cover the hot candidate shapes k=1 and
-	// k=2; they read the raw base arrays plus per-need threshold tables,
-	// not the sentinel copies, so ensureSentinels is skipped.
-	if b.k >= 1 && b.k <= 2 && activeKernel != kernelGeneric {
-		s.fuseBatchLanes(b, need, out, nil, ok)
-		return
-	}
-	s.ensureSentinels()
-	blos, bhis := s.slos, s.shis
-	stride := b.k + 2
-	for i := 0; i < b.n; i++ {
-		seg := i * stride
-		out[i], ok[i] = fuseMerged(blos, bhis,
-			b.los[seg:seg+stride], b.his[seg:seg+stride], n, need, nb, b.k)
-	}
+	s.fuseBatch(b, f, out, nil, ok)
 }
 
 // ScoreBatch is FuseBatch reduced to the attacker's objective: widths[i]
@@ -152,27 +129,43 @@ func (s *Sweeper) ScoreBatch(b *Batch, f int, widths []float64, ok []bool) {
 	if len(widths) != b.n || len(ok) != b.n {
 		panic("interval: ScoreBatch output length mismatch")
 	}
+	s.fuseBatch(b, f, nil, widths, ok)
+}
+
+// fuseBatch scores every lane of b; exactly one of out (FuseBatch) and
+// widths (ScoreBatch) is non-nil. Under the avx2 kernel, k=2 lanes go
+// to the assembly in groups of four (kernel_amd64.go); every other lane
+// — any k, and the n mod 4 tail — runs through fuseMerged.
+func (s *Sweeper) fuseBatch(b *Batch, f int, out []Interval, widths []float64, ok []bool) {
 	nb := len(s.los)
 	n := nb + b.k
 	need := n - f
 	if n == 0 || f < 0 || need <= 0 {
-		for i := range ok {
-			widths[i], ok[i] = 0, false
-		}
+		clear(out)
+		clear(widths)
+		clear(ok)
 		return
 	}
-	if b.k >= 1 && b.k <= 2 && activeKernel != kernelGeneric {
-		s.fuseBatchLanes(b, need, nil, widths, ok)
+	i := 0
+	if b.k == 2 && activeKernel == kernelAVX2 {
+		i = s.fuseLanesAVX2(b, need, out, widths, ok)
+	}
+	if i == b.n { // the assembly took every lane: no sentinel copies needed
 		return
 	}
 	s.ensureSentinels()
 	blos, bhis := s.slos, s.shis
 	stride := b.k + 2
-	for i := 0; i < b.n; i++ {
+	for ; i < b.n; i++ {
 		seg := i * stride
 		iv, o := fuseMerged(blos, bhis,
 			b.los[seg:seg+stride], b.his[seg:seg+stride], n, need, nb, b.k)
-		widths[i], ok[i] = iv.Hi-iv.Lo, o
+		if out != nil {
+			out[i] = iv
+		} else {
+			widths[i] = iv.Hi - iv.Lo
+		}
+		ok[i] = o
 	}
 }
 

@@ -1,11 +1,15 @@
 package interval
 
-// This file is the incremental half of the package's Marzullo machinery:
-// Coverage (sweep.go) answers point-coverage queries over one fixed
-// interval set, while Sweeper answers the attacker's inner-loop question
-// — "what is the fusion interval of BASE ∪ {a few candidate intervals}?"
-// — repeatedly, for one preloaded base set and many small candidate
-// sets, without re-sorting or allocating per query.
+import "slices"
+
+// This file is the package's Marzullo machinery: Coverage (sweep.go)
+// answers point-coverage queries over one fixed interval set, while
+// Sweeper answers "what is the fusion interval of BASE ∪ {a few
+// candidate intervals}?" — repeatedly, for one preloaded base set and
+// many small candidate sets, without re-sorting or allocating per query.
+// It is the one production Marzullo scan: fusion.Fuse, the round
+// simulator (Preload the round's intervals, FuseWith no extras) and the
+// attacker's plan search all fuse through it.
 
 // Sweeper evaluates Marzullo fusion over a fixed preloaded base set of
 // intervals plus a small per-query set of extra intervals. Preload sorts
@@ -15,7 +19,7 @@ package interval
 // allocations — against the O((n+k) log (n+k)) sort or the O((n+k)^2)
 // endpoint scan a from-scratch evaluation pays.
 //
-// This is the kernel behind the optimal attacker's plan search: the
+// It is also the kernel behind the optimal attacker's plan search: the
 // fixed intervals of one decision context (everything seen on the bus
 // plus one imagined completion of the unseen sensors) are preloaded
 // once, and every candidate placement of the attacker's own intervals
@@ -31,27 +35,32 @@ type Sweeper struct {
 	// lazily by ensureSentinels after any base mutation.
 	slos, shis []float64
 	sclean     bool
-	// thrLo/thrHi are the lane kernels' qualification tables (kernel.go):
-	// a base endpoint qualifies for the fusion extremes iff the candidate
-	// coverage contribution d there satisfies d > thr. Valid for coverage
-	// threshold kneed; kclean marks them current. Rebuilt lazily by
-	// ensureKernelTables after any base mutation or need change.
+	// thrLo/thrHi are the AVX2 kernel's qualification tables
+	// (kernel_amd64.go): a base endpoint qualifies for the fusion
+	// extremes iff the candidate coverage contribution d there satisfies
+	// d > thr. Valid for coverage threshold kneed; kclean marks them
+	// current. Rebuilt lazily by ensureKernelTables after any base
+	// mutation or need change.
 	thrLo, thrHi []int64
 	kclean       bool
 	kneed        int
 }
 
 // Preload replaces the base set with ivs, reusing internal buffers.
-// Invalid intervals (Lo > Hi) must not be passed.
+// Invalid intervals (Lo > Hi) must not be passed. slices.Sort
+// insertion-sorts (stably) up to 12 endpoints, the size of every hot
+// path, and stays O(n log n) for large one-shot fusions.
 func (s *Sweeper) Preload(ivs []Interval) {
 	s.sclean = false
 	s.kclean = false
-	s.los = s.los[:0]
-	s.his = s.his[:0]
+	s.los = slices.Grow(s.los[:0], len(ivs))
+	s.his = slices.Grow(s.his[:0], len(ivs))
 	for _, iv := range ivs {
-		s.los = InsertSorted(s.los, iv.Lo)
-		s.his = InsertSorted(s.his, iv.Hi)
+		s.los = append(s.los, iv.Lo)
+		s.his = append(s.his, iv.Hi)
 	}
+	slices.Sort(s.los)
+	slices.Sort(s.his)
 }
 
 // Add appends one interval to the base set without a full Preload.
@@ -84,9 +93,9 @@ func InsertSorted(sorted []float64, x float64) []float64 {
 // span from the smallest point covered by at least n-f of them to the
 // largest such point. ok is false when no point reaches that coverage
 // (the condition fusion.ErrNoFusion reports) or when f is out of range.
-// The result is bit-identical to fusion.Fuse over the
-// concatenated slice — the differential tests in internal/fusion pin
-// that equivalence on random inputs.
+// The result is bit-identical to the reference fusion.FuseNaive over
+// the concatenated slice — the differential tests in internal/fusion
+// pin that equivalence on random inputs.
 func (s *Sweeper) FuseWith(extra []Interval, f int) (Interval, bool) {
 	s.extLos = s.extLos[:0]
 	s.extHis = s.extHis[:0]
@@ -109,8 +118,8 @@ func (s *Sweeper) FuseWithSorted(extLos, extHis []float64, f int) (Interval, boo
 // point x by closed intervals is #{Lo <= x} - #{Hi < x}; it rises only
 // at Lo endpoints and falls only past Hi endpoints, so the extremes of
 // the (n-f)-covered set are a Lo endpoint (minimum) and a Hi endpoint
-// (maximum) — the same invariant fusion.Fuser's scan uses, here walked
-// over the implicit merge of the presorted base and extra arrays.
+// (maximum). Both scans walk the implicit merge of the presorted base
+// and extra arrays.
 func (s *Sweeper) fuseSorted(extLos, extHis []float64, f int) (Interval, bool) {
 	n := len(s.los) + len(extLos)
 	need := n - f
@@ -169,8 +178,8 @@ func (s *Sweeper) fuseSorted(extLos, extHis []float64, f int) (Interval, bool) {
 		// #{Hi < x} <= n-(c+1), making the condition a lower bound on
 		// coverage that never overestimates. It is exact at the
 		// lowest-index copy of each distinct x, which the scan reaches
-		// before moving to the next value — the same duplicate handling
-		// as fusion.Fuser's reverse scan.
+		// before moving to the next value, so duplicates are handled
+		// exactly.
 		if (bj+1+ej+1)-(n-(c+1)) >= need {
 			hi = x
 			break

@@ -4,8 +4,41 @@ package interval
 
 // amd64 side of the kernel dispatch: CPUID/XGETBV feature detection
 // (hand-rolled — this module deliberately has no dependencies, so no
-// golang.org/x/sys/cpu) and the Go wrapper around the AVX2 four-lane
-// kernel in kernel_amd64.s.
+// golang.org/x/sys/cpu) and the Go half of the AVX2 four-lane kernel in
+// kernel_amd64.s.
+//
+// The kernel rephrases Marzullo fusion as pure value selection, so a
+// lane costs one branch-free pass over the base endpoint arrays and
+// four lanes ride that pass at once. Coverage of a point x by closed
+// intervals is cov(x) = #{Lo <= x} - #{Hi < x}, so the fusion interval
+// of base ∪ candidate with threshold need = n-f is
+//
+//	lo = min{x among all Lo endpoints : cov(x) >= need}
+//	hi = max{x among all Hi endpoints : cov(x) >= need}
+//
+// and fusion exists iff some Lo qualifies. This selects the same VALUES
+// as the scalar two-pointer scans (fuseSorted, fuseMerged): their
+// per-pick coverage tests are lower bounds that become exact at the
+// last duplicate copy of each distinct value, so a value passes the
+// scan iff cov(value) >= need — and the scans stop at the extreme
+// qualifying values. Only comparisons and min/max touch the endpoints,
+// so the result is bit-identical.
+//
+// Splitting cov(x) at a threshold x into a base part and a candidate
+// part is what makes the pass branch-free and lane-parallel:
+//
+//   - For a BASE endpoint threshold x = blos[i] (or bhis[i]), the base
+//     part of cov(x) depends only on (base, need) and is precomputed by
+//     ensureKernelTables into thrLo/thrHi: lane qualification reduces
+//     to "candidate contribution d > thr[i]", where d sums four
+//     endpoint comparisons.
+//   - For a CANDIDATE endpoint threshold, the base part
+//     bcov(T) = #{blos <= T} - #{bhis < T} is accumulated in the same
+//     pass over i, and the candidate's own contribution collapses to
+//     constants by the within-lane sortedness (clo0 <= clo1,
+//     chi0 <= chi1) — finalizeK2 below.
+
+import "math"
 
 // cpuidex executes CPUID with the given leaf and subleaf
 // (kernel_amd64.s).
@@ -51,8 +84,7 @@ func detectAVX2() bool {
 }
 
 // defaultKernel selects the startup kernel: the AVX2 four-lane kernel
-// when the CPU supports it, the generic merge kernel otherwise (the
-// unrolled kernel stays selectable via SENSORFUSION_KERNEL/SetKernel).
+// when the CPU supports it, the generic merge kernel otherwise.
 func defaultKernel() kernelKind {
 	if haveAVX2 {
 		return kernelAVX2
@@ -67,13 +99,13 @@ var (
 	kernelDummyI64 int64
 )
 
-// fuseLanesAVX2 drives fuseK2AVX2 over b's lanes in groups of four and
-// finalizes each lane's candidate thresholds in Go (identical to the
-// unrolled kernel's finalizeK2 — the assembly computes exactly Part A
-// and Part B of fuseLaneK2's pass). It returns the number of lanes
-// consumed; the remainder (b.n mod 4) falls through to the unrolled
-// kernel in fuseBatchLanes.
+// fuseLanesAVX2 drives fuseK2AVX2 over b's lanes (k == 2) in groups of
+// four and finalizes each lane's candidate thresholds in Go. Exactly
+// one of out (FuseBatch) and widths (ScoreBatch) is non-nil. It returns
+// the number of lanes consumed; the remainder (b.n mod 4) falls through
+// to fuseMerged in fuseBatch.
 func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []float64, ok []bool) int {
+	s.ensureKernelTables(need)
 	nb := len(s.los)
 	blos, bhis := &kernelDummyF64, &kernelDummyF64
 	tlo, thi := &kernelDummyI64, &kernelDummyI64
@@ -101,4 +133,101 @@ func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []flo
 		}
 	}
 	return g
+}
+
+// ensureKernelTables (re)builds the per-(base, need) qualification
+// thresholds the AVX2 kernel compares against: for each base endpoint
+// threshold x = s.los[i] (resp. s.his[i]), the EXACT base-only coverage
+// cov_base(x) = #{blos <= x} - #{bhis < x} is computed by one
+// two-pointer pass over the sorted arrays (duplicate runs share their
+// exact count), and stored as
+//
+//	thrLo[i] = need - cov_base(s.los[i]) - 1
+//	thrHi[i] = need - cov_base(s.his[i]) - 1
+//
+// so a lane's candidate contribution d qualifies the threshold iff
+// d > thr[i] (a single signed compare — the form VPCMPGTQ wants).
+// Cached like the sentinel arrays, invalidated by Preload/Add, and
+// additionally keyed on need, which varies per call.
+func (s *Sweeper) ensureKernelTables(need int) {
+	if s.kclean && s.kneed == need {
+		return
+	}
+	nb := len(s.los)
+	if cap(s.thrLo) < nb {
+		s.thrLo = make([]int64, nb)
+		s.thrHi = make([]int64, nb)
+	}
+	s.thrLo = s.thrLo[:nb]
+	s.thrHi = s.thrHi[:nb]
+	j := 0 // #{bhis < x}
+	for i := 0; i < nb; {
+		x := s.los[i]
+		r := i
+		for r+1 < nb && s.los[r+1] == x {
+			r++
+		}
+		for j < nb && s.his[j] < x {
+			j++
+		}
+		thr := int64(need - ((r + 1) - j) - 1)
+		for ; i <= r; i++ {
+			s.thrLo[i] = thr
+		}
+	}
+	j = 0 // #{blos <= x}
+	for i := 0; i < nb; {
+		x := s.his[i]
+		r := i
+		for r+1 < nb && s.his[r+1] == x {
+			r++
+		}
+		for j < nb && s.los[j] <= x {
+			j++
+		}
+		// #{bhis < x} is i, the first index of this duplicate run.
+		thr := int64(need - (j - i) - 1)
+		for ; i <= r; i++ {
+			s.thrHi[i] = thr
+		}
+	}
+	s.kclean = true
+	s.kneed = need
+}
+
+// b2i64 returns 1 for true and 0 for false; the compiler lowers it to a
+// flag materialization (SETcc), not a branch.
+func b2i64(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// finalizeK2 merges the candidate-endpoint thresholds into the running
+// (lo, hi) selection the assembly pass produced and reports the lane
+// result. The candidate's own contribution at each of its endpoints
+// reduces by sortedness (clo0 <= clo1, chi0 <= chi1): e.g. at T = clo1
+// both Lo endpoints count, and at T = chi0 no candidate Hi lies
+// strictly below. A lane with no qualifying Lo endpoint has empty
+// fusion (and then no Hi qualifies either); lo keeps +Inf in that case,
+// which no finite endpoint can be, so it doubles as the ok flag.
+func finalizeK2(lo, hi float64, bc0, bc1, bc2, bc3 int64, clo0, clo1, chi0, chi1 float64, need int) (Interval, bool) {
+	n64 := int64(need)
+	if bc0+1+b2i64(clo1 <= clo0)-b2i64(chi0 < clo0)-b2i64(chi1 < clo0) >= n64 && clo0 < lo {
+		lo = clo0
+	}
+	if bc1+2-b2i64(chi0 < clo1)-b2i64(chi1 < clo1) >= n64 && clo1 < lo {
+		lo = clo1
+	}
+	if bc2+b2i64(clo0 <= chi0)+b2i64(clo1 <= chi0) >= n64 && chi0 > hi {
+		hi = chi0
+	}
+	if bc3+b2i64(clo0 <= chi1)+b2i64(clo1 <= chi1)-b2i64(chi0 < chi1) >= n64 && chi1 > hi {
+		hi = chi1
+	}
+	if lo > math.MaxFloat64 { // lo == +Inf: nothing qualified
+		return Interval{}, false
+	}
+	return Interval{Lo: lo, Hi: hi}, true
 }

@@ -5,18 +5,19 @@
 // AVX2 four-lane Marzullo batch kernel, plus the CPUID/XGETBV probes
 // backing the runtime dispatch (kernel_amd64.go).
 //
-// fuseK2AVX2 is fuseLaneK2's single pass over the base endpoint arrays
-// with four k=2 candidate lanes riding each iteration. Lanes live in
-// Batch's SoA layout (stride 4: -Inf sentinel, two sorted endpoints,
-// +Inf sentinel); a 4x4 transpose of the four consecutive segments
-// yields the per-position column vectors CLO0/CLO1 (and CHI0/CHI1 from
-// the Hi segments). Comparison masks (VCMPPD, all-ones per true qword)
-// are summed directly with VPADDQ/VPSUBQ, so the candidate coverage
-// contribution d at a base threshold is an int64 per lane; VPCMPGTQ
-// against the precomputed thrLo/thrHi tables qualifies the threshold
-// and VBLENDVPD folds it into the running VMINPD/VMAXPD selection.
-// Everything is comparisons and min/max — no arithmetic touches the
-// endpoint values, preserving bit-identity with the scalar kernels.
+// fuseK2AVX2 is the selection pass described in kernel_amd64.go: one
+// pass over the base endpoint arrays with four k=2 candidate lanes
+// riding each iteration. Lanes live in Batch's SoA layout (stride 4:
+// -Inf sentinel, two sorted endpoints, +Inf sentinel); a 4x4 transpose
+// of the four consecutive segments yields the per-position column
+// vectors CLO0/CLO1 (and CHI0/CHI1 from the Hi segments). Comparison
+// masks (VCMPPD, all-ones per true qword) are summed directly with
+// VPADDQ/VPSUBQ, so the candidate coverage contribution d at a base
+// threshold is an int64 per lane; VPCMPGTQ against the precomputed
+// thrLo/thrHi tables qualifies the threshold and VBLENDVPD folds it
+// into the running VMINPD/VMAXPD selection. Everything is comparisons
+// and min/max — no arithmetic touches the endpoint values, preserving
+// bit-identity with the scalar kernels.
 //
 // Register plan (persistent across the loop):
 //	Y4-Y7   CLO0, CLO1, CHI0, CHI1 (candidate endpoint columns)

@@ -2,9 +2,8 @@
 
 package interval
 
-// Non-amd64 (and purego) builds carry no assembly kernel: the runtime
-// dispatch falls back to the generic merge kernel, with the unrolled
-// pure-Go lane kernel selectable via SENSORFUSION_KERNEL/SetKernel.
+// Non-amd64 (and purego) builds carry no assembly kernel: every batch
+// runs through the generic merge kernel.
 
 // haveAVX2 is false without the amd64 assembly build.
 const haveAVX2 = false
@@ -14,7 +13,7 @@ const haveAVX2 = false
 func defaultKernel() kernelKind { return kernelGeneric }
 
 // fuseLanesAVX2 is never reachable here (kernelAVX2 is not available),
-// but the dispatch in fuseBatchLanes still links against it.
+// but the dispatch in fuseBatch still links against it.
 func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []float64, ok []bool) int {
 	panic("interval: avx2 kernel unavailable in this build")
 }

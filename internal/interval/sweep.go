@@ -3,8 +3,9 @@ package interval
 import "sort"
 
 // Coverage answers "how many of a fixed set of intervals contain x?"
-// queries and the inverse question Marzullo's algorithm needs: the span of
-// points covered by at least k intervals.
+// queries over one fixed interval set: point counts (At), the event
+// coordinates (Events), and windowed maxima (MaxCoverageOn). Marzullo's
+// fusion interval itself is Sweeper's job (incsweep.go).
 //
 // It is built once from a slice of intervals (O(n log n)) and then
 // answers queries in O(log n). The structure is immutable after Build.
@@ -95,54 +96,6 @@ func (c *Coverage) At(x float64) int {
 		return 0
 	}
 	return c.between[k-1]
-}
-
-// Span returns the smallest and largest points covered by at least k
-// intervals. ok is false when no point reaches coverage k.
-//
-// This is exactly the fusion interval primitive: Marzullo's fusion
-// interval for fault bound f over n intervals is Span(n-f). Note the
-// result is the convex hull of the k-covered set; points strictly inside
-// may have lower coverage.
-func (c *Coverage) Span(k int) (Interval, bool) {
-	if k <= 0 || len(c.xs) == 0 {
-		return Interval{}, false
-	}
-	lo, foundLo := 0.0, false
-	for idx := 0; idx < len(c.xs); idx++ {
-		if c.atCounts[idx] >= k {
-			lo, foundLo = c.xs[idx], true
-			break
-		}
-		// Open segments cannot exceed the counts at their bounding
-		// endpoints for closed intervals, so checking event points
-		// suffices: coverage on (xs[i], xs[i+1]) is <= atCounts at both
-		// ends (every interval covering the open segment covers both
-		// endpoints of the segment).
-	}
-	if !foundLo {
-		return Interval{}, false
-	}
-	hi := 0.0
-	for idx := len(c.xs) - 1; idx >= 0; idx-- {
-		if c.atCounts[idx] >= k {
-			hi = c.xs[idx]
-			break
-		}
-	}
-	return Interval{Lo: lo, Hi: hi}, true
-}
-
-// MaxCoverage returns the maximum number of intervals containing any
-// single point (0 for an empty set).
-func (c *Coverage) MaxCoverage() int {
-	best := 0
-	for _, v := range c.atCounts {
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // Events returns the distinct endpoint coordinates in ascending order.

@@ -38,70 +38,12 @@ func TestCoverageAt(t *testing.T) {
 	if cov.N() != 4 {
 		t.Errorf("N = %d, want 4", cov.N())
 	}
-	if got := cov.MaxCoverage(); got != 4 {
-		t.Errorf("MaxCoverage = %d, want 4", got)
-	}
-}
-
-func TestCoverageSpanPaperFigure1(t *testing.T) {
-	// Five intervals shaped like the paper's Fig. 1 discussion: with f=0
-	// the fusion is the intersection, with growing f the span widens.
-	ivs := []Interval{
-		MustNew(0, 6),
-		MustNew(1, 4),
-		MustNew(2, 7),
-		MustNew(3, 9),
-		MustNew(3.5, 5),
-	}
-	cov := BuildCoverage(ivs)
-	// f=0 -> k=5: intersection is [3.5, 4].
-	s, ok := cov.Span(5)
-	if !ok || !s.Equal(MustNew(3.5, 4)) {
-		t.Fatalf("Span(5) = %v, %v, want [3.5,4]", s, ok)
-	}
-	// f=4 -> k=1: hull of everything.
-	s, ok = cov.Span(1)
-	if !ok || !s.Equal(MustNew(0, 9)) {
-		t.Fatalf("Span(1) = %v, %v, want [0,9]", s, ok)
-	}
-	// Monotonicity in k.
-	prev := MustNew(0, 9)
-	for k := 1; k <= 5; k++ {
-		s, ok := cov.Span(k)
-		if !ok {
-			t.Fatalf("Span(%d) should exist", k)
-		}
-		if !prev.ContainsInterval(s) {
-			t.Fatalf("Span(%d) = %v not contained in Span(%d) = %v", k, s, k-1, prev)
-		}
-		prev = s
-	}
-}
-
-func TestCoverageSpanEmpty(t *testing.T) {
-	ivs := []Interval{MustNew(0, 1), MustNew(5, 6)}
-	cov := BuildCoverage(ivs)
-	if _, ok := cov.Span(2); ok {
-		t.Fatal("no point is covered twice")
-	}
-	if s, ok := cov.Span(1); !ok || !s.Equal(MustNew(0, 6)) {
-		t.Fatalf("Span(1) = %v, %v", s, ok)
-	}
-	if _, ok := cov.Span(0); ok {
-		t.Fatal("Span(0) must be rejected")
-	}
-	if _, ok := cov.Span(3); ok {
-		t.Fatal("k > n can never be covered")
-	}
 }
 
 func TestCoverageEmptyInput(t *testing.T) {
 	cov := BuildCoverage(nil)
-	if cov.At(0) != 0 || cov.MaxCoverage() != 0 {
+	if cov.At(0) != 0 || cov.MaxCoverageOn(MustNew(-1, 1)) != 0 || len(cov.Events()) != 0 {
 		t.Fatal("empty coverage should be all zeros")
-	}
-	if _, ok := cov.Span(1); ok {
-		t.Fatal("empty coverage has no span")
 	}
 }
 
@@ -111,9 +53,8 @@ func TestCoverageDuplicateIntervals(t *testing.T) {
 	if got := cov.At(2); got != 3 {
 		t.Fatalf("At(2) = %d, want 3", got)
 	}
-	s, ok := cov.Span(3)
-	if !ok || !s.Equal(MustNew(1, 3)) {
-		t.Fatalf("Span(3) = %v, %v", s, ok)
+	if got := cov.MaxCoverageOn(MustNew(0, 4)); got != 3 {
+		t.Fatalf("MaxCoverageOn([0,4]) = %d, want 3", got)
 	}
 }
 
@@ -124,9 +65,8 @@ func TestCoverageTouchingEndpoints(t *testing.T) {
 	if got := cov.At(2); got != 2 {
 		t.Fatalf("At(2) = %d, want 2", got)
 	}
-	s, ok := cov.Span(2)
-	if !ok || !s.Equal(Point(2)) {
-		t.Fatalf("Span(2) = %v, %v, want the single point [2,2]", s, ok)
+	if got := cov.MaxCoverageOn(MustNew(0, 1.5)); got != 1 {
+		t.Fatalf("MaxCoverageOn([0,1.5]) = %d, want 1 (the touch point is outside)", got)
 	}
 }
 
@@ -185,18 +125,23 @@ func TestCoverageAgainstNaiveRandomized(t *testing.T) {
 				t.Fatalf("trial %d: At(%v) = %d, want %d (ivs %v)", trial, x, got, want, ivs)
 			}
 		}
-		for k := 1; k <= n; k++ {
-			gs, gok := cov.Span(k)
-			ns, nok := naiveSpan(ivs, k)
-			if gok != nok || (gok && !gs.Equal(ns)) {
-				t.Fatalf("trial %d: Span(%d) = %v,%v want %v,%v (ivs %v)", trial, k, gs, gok, ns, nok, ivs)
+		// Windows with integer bounds: the 0.5 grid hits every event
+		// point and every open segment between them.
+		for a := -12.0; a <= 20.0; a += 4 {
+			w := MustNew(a, a+3)
+			want := 0
+			for x := w.Lo; x <= w.Hi; x += 0.5 {
+				want = max(want, naiveAt(ivs, x))
+			}
+			if got := cov.MaxCoverageOn(w); got != want {
+				t.Fatalf("trial %d: MaxCoverageOn(%v) = %d, want %d (ivs %v)", trial, w, got, want, ivs)
 			}
 		}
 	}
 }
 
-// Property: coverage at any point never exceeds n, and Span(k) endpoints
-// are themselves covered k times.
+// Property: the Sweeper's fusion interval at fault bound n-k is the
+// naive k-covered span, and its endpoints are themselves covered k times.
 func TestQuickSpanEndpointsCovered(t *testing.T) {
 	f := func(seeds []uint8) bool {
 		if len(seeds) == 0 {
@@ -212,8 +157,14 @@ func TestQuickSpanEndpointsCovered(t *testing.T) {
 			ivs[k] = Interval{Lo: lo, Hi: lo + w}
 		}
 		cov := BuildCoverage(ivs)
+		var sw Sweeper
+		sw.Preload(ivs)
 		for k := 1; k <= len(ivs); k++ {
-			s, ok := cov.Span(k)
+			s, ok := sw.FuseWith(nil, len(ivs)-k)
+			ns, nok := naiveSpan(ivs, k)
+			if ok != nok || (ok && !s.Equal(ns)) {
+				return false
+			}
 			if !ok {
 				continue
 			}

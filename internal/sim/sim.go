@@ -71,7 +71,7 @@ type RoundResult struct {
 }
 
 // Simulator executes rounds for a fixed Setup, reusing the bus, the
-// attacker (and hence the strategy's plan cache), the zero-alloc fusion
+// attacker (and hence the strategy's plan cache), the fusion sweeper's
 // buffers, and the round result buffers across rounds: the clean (no
 // attacker) round path performs zero heap allocations per round, pinned
 // by TestRoundCleanPathZeroAllocs. A Simulator is not safe for
@@ -80,7 +80,7 @@ type Simulator struct {
 	setup    Setup
 	bus      *bus.Bus
 	attacker *attack.Attacker // nil when no targets
-	fuser    fusion.Fuser     // reused sort/sweep buffers for the hot path
+	sweeper  interval.Sweeper // reused endpoint buffers for the round's fusion
 	final    []interval.Interval
 	suspects []int
 }
@@ -169,15 +169,19 @@ func (s *Simulator) RoundInto(correct []interval.Interval, out *RoundResult) err
 		}
 		final[idx] = iv
 	}
-	fused, suspects, err := s.fuser.FuseAndDetect(final, s.setup.F)
-	if err != nil {
-		return err
+	s.sweeper.Preload(final)
+	fused, ok := s.sweeper.FuseWith(nil, s.setup.F)
+	if !ok {
+		return fmt.Errorf("%w: n=%d f=%d", fusion.ErrNoFusion, n, s.setup.F)
 	}
-	// The fuser owns its suspect buffer; copy it into the simulator's
-	// own reused buffer so the result survives other fuser use. Against
-	// a stealthy attacker suspects is empty, so the common case costs
-	// nothing.
-	s.suspects = append(s.suspects[:0], suspects...)
+	// The detector of fusion.Detect, into the reused suspect buffer:
+	// against a stealthy attacker nothing is appended.
+	s.suspects = s.suspects[:0]
+	for k, iv := range final {
+		if !iv.Intersects(fused) {
+			s.suspects = append(s.suspects, k)
+		}
+	}
 	out.Order = order
 	out.Final = final
 	out.Fused = fused

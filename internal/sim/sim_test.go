@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sensorfusion/internal/attack"
+	"sensorfusion/internal/fusion"
 	"sensorfusion/internal/interval"
 	"sensorfusion/internal/schedule"
 )
@@ -288,5 +291,46 @@ func TestRoundResultReuseIsDocumentedBehavior(t *testing.T) {
 	}
 	if r1.Final[0].Equal(first) {
 		t.Fatal("expected r1.Final to alias the reused buffer (contract change?)")
+	}
+}
+
+// TestRoundMatchesFuseAndDetect feeds clean rounds arbitrary (possibly
+// disagreeing) readings and requires the round's fusion, suspects, and
+// no-fusion error to match fusion.FuseAndDetect on the same intervals —
+// the round path inlines the detector to stay allocation-free.
+func TestRoundMatchesFuseAndDetect(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(6)
+		widths := make([]float64, n)
+		correct := make([]interval.Interval, n)
+		for k := range correct {
+			widths[k] = float64(rng.Intn(5))
+			lo := float64(rng.Intn(9) - 4)
+			if trial%2 == 1 {
+				widths[k] = rng.Float64() * 4
+				lo = (rng.Float64() - 0.5) * 8
+			}
+			correct[k] = interval.Interval{Lo: lo, Hi: lo + widths[k]}
+		}
+		f := rng.Intn(n)
+		s, err := NewSimulator(cleanSetup(t, widths, f, schedule.Ascending))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, gotErr := s.Round(correct)
+		wantIv, wantSus, wantErr := fusion.FuseAndDetect(correct, f)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("ivs=%v f=%d: err %v, want %v", correct, f, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if !errors.Is(gotErr, fusion.ErrNoFusion) || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("ivs=%v f=%d: err %q, want %q", correct, f, gotErr, wantErr)
+			}
+			continue
+		}
+		if res.Fused != wantIv || !slices.Equal(res.Suspects, wantSus) {
+			t.Fatalf("ivs=%v f=%d: round %v %v, want %v %v", correct, f, res.Fused, res.Suspects, wantIv, wantSus)
+		}
 	}
 }
