@@ -24,10 +24,13 @@ build:
 # Cross-compile smoke: the batch-kernel dispatch carries amd64-only
 # assembly behind build tags, so the non-amd64 fallback (and the purego
 # escape hatch on amd64 itself) must keep compiling even though CI runs
-# on amd64. `go vet` in this Makefile covers asmdecl on the native
-# build.
+# on amd64. darwin and windows guard the coordinator's non-Linux lock
+# liveness path (pid-only, no process start time). `go vet` in this
+# Makefile covers asmdecl on the native build.
 crosscompile:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	$(GO) build -tags purego ./...
 
 fmt:

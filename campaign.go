@@ -671,7 +671,7 @@ type DoctorOptions struct {
 	// (lock, manifest, spec, shard files).
 	StateDir string
 	// CacheDir, when non-empty, validates a result cache directory
-	// (entry integrity, self-digests, measured-cost coverage). When
+	// (entry integrity and self-digests). When
 	// empty and StateDir is set, the campaign's conventional
 	// StateDir/cache is validated if it exists.
 	CacheDir string
@@ -716,12 +716,10 @@ func dirExists(path string) bool {
 }
 
 // doctorCache validates every entry of a result cache directory: stray
-// non-entry files (interrupted atomic writes), entries that do not
-// parse or whose self-digest disagrees with the key they sit under, and
-// entries with no measured wall time (written before measured-cost
-// feedback existed — they starve the coordinator's calibrated cost
-// model until recomputed). Every fix is an rm: the cache is a memo, so
-// removing an entry costs one recomputation and can never lose results.
+// non-entry files (interrupted atomic writes), and entries that do not
+// parse or whose self-digest is missing or disagrees with the key they
+// sit under. Every fix is an rm: the cache is a memo, so removing an
+// entry costs one recomputation and can never lose results.
 func doctorCache(cacheDir string) ([]Finding, error) {
 	store, err := cache.Open(cacheDir)
 	if err != nil {
@@ -729,16 +727,10 @@ func doctorCache(cacheDir string) ([]Finding, error) {
 	}
 	var findings []Finding
 	err = store.Scan(func(e cache.Entry) error {
-		st := experiments.InspectCacheEntry(e)
-		path := filepath.Join(cacheDir, e.Key+".json")
-		switch {
-		case st.Err != nil:
+		if err := experiments.InspectCacheEntry(e); err != nil {
+			path := filepath.Join(cacheDir, e.Key+".json")
 			findings = append(findings, Finding{Code: "corrupt-cache-entry", Path: path,
-				Detail: st.Err.Error(), Fix: "rm " + path})
-		case !st.Measured:
-			findings = append(findings, Finding{Code: "unmeasured-cache-entry", Path: path,
-				Detail: "entry predates measured-cost feedback (no wall time recorded); it starves the calibrated cost model until recomputed",
-				Fix:    "rm " + path})
+				Detail: err.Error(), Fix: "rm " + path})
 		}
 		return nil
 	}, func(path string) {

@@ -13,7 +13,7 @@
 //	repro coordinate -state DIR [-workers N] [-shards M] [-resume] [-follow] [-deadline D] [-balance] [-speculate] [-recut] [-partial] [-window W] [-k 0] [-step 1] [-seed 1] [-lengths L1,L2,...] [-format F] [-out FILE] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
 //	repro coordinate -state DIR -watch [-interval D]
 //	repro update -state DIR [spec flags: -k -step -seed -lengths] [-workers N] [-format F] [-out FILE]
-//	repro doctor [-state DIR] [-cache DIR] [-upgrade]
+//	repro doctor [-state DIR] [-cache DIR]
 //
 // table1 prints the schedule comparison (expected fusion interval length,
 // Ascending vs Descending) for the paper's eight configurations; table2
@@ -73,8 +73,9 @@
 // the unsharded run. Kill the coordinator (or its workers) at any point
 // and re-run with -resume: completed shards are served from disk,
 // completed configurations from the cache, and no simulation ever runs
-// twice — manifests written by older (pre-cost) versions resume
-// transparently. -follow streams merged records while shards are still
+// twice; a state dir written in an older format is refused (remove its
+// manifest.json and rerun — the cache is kept). -follow streams merged
+// records while shards are still
 // running. -watch renders a read-only progress view from the manifest
 // (no lock taken), with a remaining-work estimate calibrated from the
 // recorded shard timings (or "eta: warming up" before any shard has
@@ -103,12 +104,10 @@
 // unchanged is a hit — and then replays the full new spec from the
 // cache into the sink, byte-identical to a from-scratch run of the
 // edited spec. doctor validates a state directory and/or result cache
-// (stale or foreign pid locks, torn manifests, version-1 manifests,
-// orphaned or corrupt shard files, stranded plain twins of compressed
-// shards, corrupt or unmeasured cache entries) and prints one
-// copy-pasteable fix command per finding, modifying nothing itself;
-// doctor -upgrade performs the one repair that needs the CLI,
-// rewriting a version-1 manifest at the current version.
+// (stale or foreign pid locks, torn manifests, older state such as a
+// manifest of another format version, orphaned or corrupt shard files,
+// corrupt cache entries) and prints one copy-pasteable fix command per
+// finding, modifying nothing itself.
 package main
 
 import (
@@ -458,9 +457,10 @@ func usage() {
             crash-safe manifest, dispatch a heaviest-first dynamic
             queue, kill/reassign stragglers past -deadline, stream the
             shards through the bounded -window merge byte-identically
-            to the unsharded run; -resume continues a killed run (even
-            from pre-cost manifests) with zero re-simulation of cached
-            work, -follow streams merged records as shards progress,
+            to the unsharded run; -resume continues a killed run with
+            zero re-simulation of cached work (older state is refused:
+            rm its manifest.json and rerun, the cache is kept), -follow
+            streams merged records as shards progress,
             -watch renders lock-free progress from the manifest;
             failures are classified (transient/straggler/poisoned) with
             deterministic seeded retry backoff, -speculate duplicates
@@ -475,12 +475,11 @@ func usage() {
             coordinator (cache-shared), then replay the full new spec
             from the cache — byte-identical to a from-scratch run
   doctor    validate -state and/or -cache directories: stale/foreign
-            locks, torn manifests, v1 manifests (-upgrade rewrites
-            them), orphaned/corrupt shard files, stranded plain twins
-            of gzip shards, partial results awaiting -resume, stale
-            speculation/spill leftovers, corrupt or unmeasured cache
-            entries; one copy-pasteable fix command per finding,
-            nothing modified
+            locks, torn manifests, older state (remove it and rerun;
+            STATE/cache is kept), orphaned/corrupt shard files, partial
+            results awaiting -resume, stale speculation/spill
+            leftovers, corrupt cache entries; one copy-pasteable fix
+            command per finding, nothing modified
 
 large streams (campaign, merge, coordinate, update):
   -compress     gzip record output (-out gains .gz)
@@ -1161,28 +1160,15 @@ func runUpdate(args []string) error {
 
 // runDoctor validates a campaign state directory and/or result cache and
 // prints one copy-pasteable fix command per finding. It never modifies
-// anything itself except under -upgrade, which performs the one repair
-// that needs the CLI: rewriting a version-1 manifest at the current
-// version with explicit per-shard index sets.
+// anything itself.
 func runDoctor(args []string) error {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	state := fs.String("state", "", "campaign state directory to validate (lock, manifest, spec, shard files)")
 	cacheDir := fs.String("cache", "", "result cache directory to validate (defaults to STATE/cache when it exists)")
-	upgrade := fs.Bool("upgrade", false, "with -state: upgrade a version-1 manifest in place (the fix for the manifest-v1 finding), then exit")
 	fs.Int("parallel", 0, "accepted for uniformity; doctor is sequential")
 	fs.Int64("seed", 0, "accepted for uniformity; doctor draws no randomness")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *upgrade {
-		if *state == "" {
-			return fmt.Errorf("doctor: -upgrade needs -state DIR")
-		}
-		if err := coordinator.UpgradeManifest(*state); err != nil {
-			return err
-		}
-		fmt.Printf("doctor: upgraded manifest in %s to the current version\n", *state)
-		return nil
 	}
 	if *state == "" && *cacheDir == "" {
 		return fmt.Errorf("doctor: nothing to examine — pass -state DIR and/or -cache DIR")

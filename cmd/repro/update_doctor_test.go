@@ -38,17 +38,21 @@ func TestEtaLine(t *testing.T) {
 func TestWatchWarmingUpThroughBinary(t *testing.T) {
 	bin := buildRepro(t)
 	state := t.TempDir()
-	// A fresh manifest with costs but no completed shard: write it via a
-	// doctor -upgrade on nothing would fail, so fabricate through the
-	// real coordinator by running zero shards — simplest is a watch on a
-	// crashed-before-any-completion dir. Build one by hand from the v1
-	// fixture, whose manifest records no per-shard timings.
-	src := filepath.Join("..", "..", "internal", "coordinator", "testdata", "v1-state")
-	data, err := os.ReadFile(filepath.Join(src, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(state, "manifest.json"), data, 0o644); err != nil {
+	// A manifest with per-shard costs whose done shards recorded no wall
+	// time: nothing to calibrate from yet.
+	manifest := `{
+  "version": 2,
+  "params": "test-params",
+  "shards": 3,
+  "total": 8,
+  "shard_state": [
+    {"state": "done", "attempts": 1, "records": 3, "indices": "0,3,6", "cost": 3},
+    {"state": "done", "attempts": 1, "records": 3, "indices": "1,4,7", "cost": 3},
+    {"state": "running", "attempts": 1, "records": 0, "indices": "2,5", "cost": 2}
+  ]
+}
+`
+	if err := os.WriteFile(filepath.Join(state, "manifest.json"), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out, err := exec.Command(bin, "coordinate", "-state", state, "-watch").CombinedOutput()
@@ -120,7 +124,7 @@ func TestReproUpdateDoctor(t *testing.T) {
 		t.Fatalf("update summary missing incremental accounting:\n%s", stderr)
 	}
 
-	// Corruption: doctor finds a stale legacy lock and exits nonzero,
+	// Corruption: doctor finds a stale pid-only lock and exits nonzero,
 	// printing the exact fix.
 	lock := filepath.Join(state, "coordinator.lock")
 	if err := os.WriteFile(lock, []byte("999999999\n"), 0o644); err != nil {

@@ -11,10 +11,9 @@
 // cache's atomic temp+rename discipline. Shard record streams are
 // gzip-compressed at the source: the worker emits plain JSONL and the
 // coordinator compresses it on the way to disk (shard-NNNN.jsonl.gz),
-// with every read path — validation, resume, follow tailing, merge —
-// accepting both the compressed form and the plain files of
-// pre-compression state directories. Workers share one
-// content-addressed cache directory, so every configuration is
+// the one form every read path — validation, resume, follow tailing,
+// merge — accepts. Workers share one content-addressed cache
+// directory, so every configuration is
 // simulated at most once across all workers, retries, and coordinator
 // restarts. Stragglers are detected by a per-attempt deadline: the
 // worker is killed and its shard re-queued, and because the retried
@@ -294,8 +293,8 @@ func (o Options) validate() error {
 // planPartition cuts the global indices [0, total) into shards index
 // sets. Without costs it uses the modular residue classes (shard i owns
 // every k ≡ i mod shards) — equal counts, the layout manual sharding
-// and pre-cost manifests use. With costs it packs cost-BALANCED shards
-// by longest-processing-time-first: indices in descending cost order
+// uses. With costs it packs cost-BALANCED shards by
+// longest-processing-time-first: indices in descending cost order
 // each go to the currently lightest shard, so a handful of expensive
 // configurations spread across shards instead of clustering into the
 // one straggler that blows the deadline. Ties break toward the lower
@@ -630,7 +629,7 @@ func Coordinate(opts Options) (Result, error) {
 		// the campaign is.
 		paths := make([]string, opts.Shards)
 		for i := range paths {
-			paths[i] = existingShardFile(opts.StateDir, i)
+			paths[i] = shardFile(opts.StateDir, i)
 		}
 		spill := filepath.Join(opts.StateDir, "merge-spill")
 		var stats results.MergeStats
@@ -677,7 +676,7 @@ func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped,
 	var union, missing []int
 	for i := range c.man.Shard {
 		if c.man.Shard[i].State == shardDone {
-			paths = append(paths, existingShardFile(c.opts.StateDir, i))
+			paths = append(paths, shardFile(c.opts.StateDir, i))
 			union = append(union, c.indices[i]...)
 		} else {
 			missing = append(missing, c.indices[i]...)
@@ -738,8 +737,7 @@ func (c *coord) logCalibration(man *manifest) {
 // campaign are removed, never trusted, since without a manifest nothing
 // ties their content to this run's parameters. A fresh run also plans
 // its partition here — cost-balanced when Costs are given — while a
-// resumed run keeps the partition its manifest recorded, which is what
-// makes resume from pre-cost (version 1) manifests work unchanged.
+// resumed run keeps the partition its manifest recorded.
 func openManifest(opts Options) (*manifest, [][]int, error) {
 	man, err := loadManifest(opts.StateDir)
 	if err != nil {
@@ -793,13 +791,11 @@ func openManifest(opts Options) (*manifest, [][]int, error) {
 			if err := opts.FS.WriteFile(shardFile(opts.StateDir, i), emptyGzip(), 0o644); err != nil {
 				return nil, nil, fmt.Errorf("coordinator: %w", err)
 			}
-			opts.FS.Remove(legacyShardFile(opts.StateDir, i))
 			man.Shard[i].State = shardDone
 			man.Shard[i].Records = 0
 			continue
 		}
-		resolveMixedShardPair(opts.FS, opts.StateDir, i, indices[i])
-		n, err := validateShardFile(opts.FS, existingShardFile(opts.StateDir, i), indices[i])
+		n, err := validateShardFile(opts.FS, shardFile(opts.StateDir, i), indices[i])
 		if err == nil {
 			man.Shard[i].State = shardDone
 			man.Shard[i].Records = n
@@ -816,31 +812,6 @@ func openManifest(opts Options) (*manifest, [][]int, error) {
 		}
 	}
 	return man, indices, nil
-}
-
-// resolveMixedShardPair clears up a shard that has BOTH a compressed
-// and a plain record file — the leftover of a crash between writing the
-// .jsonl.gz and removing the superseded plain file (or of a
-// pre-compression coordinator's run that a newer one partially
-// upgraded). Whichever form validates against the expected index set is
-// kept and the other removed: a valid .gz supersedes the plain file, a
-// torn .gz yields to a valid plain file (so the already-computed
-// records are served instead of re-run). When neither validates, both
-// are left for the re-run path, which truncates them. Without this, the
-// read paths' gz-first preference could strand a stale plain twin
-// forever — or worse, hide a valid one behind a torn gz.
-func resolveMixedShardPair(fsys chaos.FS, stateDir string, i int, indices []int) {
-	gz, plain := shardFile(stateDir, i), legacyShardFile(stateDir, i)
-	if !fileExists(gz) || !fileExists(plain) {
-		return
-	}
-	if _, err := validateShardFile(fsys, gz, indices); err == nil {
-		fsys.Remove(plain)
-		return
-	}
-	if _, err := validateShardFile(fsys, plain, indices); err == nil {
-		fsys.Remove(gz)
-	}
 }
 
 func doneRecords(m *manifest) int {
@@ -948,23 +919,34 @@ func (c *coord) runShard(ctx context.Context, i int) {
 	c.attempts++
 	actx, acancel := context.WithCancel(ctx)
 	c.running[i] = &attemptHandle{cancel: acancel}
+	// The truncating open shares this critical section with the check
+	// that the shard is not done: a speculative duplicate renames its
+	// side file over the canonical name and completes the shard under
+	// c.mu too, so the open either precedes the rename (this handle
+	// detaches harmlessly) or never happens.
+	out, err := c.fsys.OpenFile(shardFile(c.opts.StateDir, i), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	saveErr := c.saveManLocked()
 	c.mu.Unlock()
 	defer acancel()
 	if saveErr != nil {
+		if err == nil {
+			out.Close()
+		}
 		c.fail(saveErr)
 		return
 	}
 
 	start := time.Now()
-	err := c.attemptShardTo(actx, i, attempt, shardFile(c.opts.StateDir, i), true)
+	if err == nil {
+		err = c.attemptShard(actx, i, attempt, out)
+	}
 	// Validation is authoritative, regardless of how the worker exited:
 	// a worker may report an error after writing a complete file (e.g.
 	// `repro campaign` exits nonzero on a per-shard never-smaller
 	// violation that the merged check re-reports, or a deadline fires
 	// just after the last record landed). If the expected records are
 	// on disk, the shard is done.
-	n, verr := validateShardFile(c.fsys, existingShardFile(c.opts.StateDir, i), c.indices[i])
+	n, verr := validateShardFile(c.fsys, shardFile(c.opts.StateDir, i), c.indices[i])
 
 	c.mu.Lock()
 	delete(c.running, i)
@@ -1063,45 +1045,20 @@ func (c *coord) completeLocked(i, n int, elapsed time.Duration, attempt int, how
 	return saveErr
 }
 
-// errShardPublished aborts a primary attempt whose shard a speculative
-// duplicate already published.
-var errShardPublished = errors.New("coordinator: shard already published by a speculative attempt")
-
-// attemptShardTo runs one worker attempt with its files and deadline
-// wired up, writing the gzip record stream to path (the canonical shard
-// file for a primary attempt, a side file for a speculative one). The
-// worker writes plain JSONL; the coordinator compresses it on the way
-// to disk, so exec and in-process workers alike produce gzip shard
-// streams without knowing it. The worker may exit with an error after
-// writing a complete file; the caller decides by validating the output.
-func (c *coord) attemptShardTo(ctx context.Context, i, attempt int, path string, canonical bool) error {
+// attemptShard runs one worker attempt with its log and deadline wired
+// up, writing the gzip record stream to out (the canonical shard file
+// for a primary attempt, a side file for a speculative one) and closing
+// it. The worker writes plain JSONL; the coordinator compresses it on
+// the way to disk, so exec and in-process workers alike produce gzip
+// shard streams without knowing it. The worker may exit with an error
+// after writing a complete file; the caller decides by validating the
+// output.
+func (c *coord) attemptShard(ctx context.Context, i, attempt int, out chaos.File) error {
 	actx := ctx
 	if c.opts.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
 		defer cancel()
-	}
-	if canonical {
-		// A retry of a shard that a pre-compression coordinator left behind
-		// must not strand the stale plain file: every read path prefers the
-		// .gz name once it exists, but removing the leftover keeps the state
-		// directory unambiguous.
-		c.fsys.Remove(legacyShardFile(c.opts.StateDir, i))
-	}
-	// The truncating open happens under c.mu, the lock a speculative
-	// winner holds while it renames its side file over the canonical name
-	// and completes the shard: a primary's open either precedes the
-	// rename (its handle detaches harmlessly) or sees the shard done and
-	// backs off, never truncating a published shard.
-	c.mu.Lock()
-	if canonical && c.man.Shard[i].State == shardDone {
-		c.mu.Unlock()
-		return errShardPublished
-	}
-	out, err := c.fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	c.mu.Unlock()
-	if err != nil {
-		return err
 	}
 	logf, err := c.fsys.OpenFile(shardLog(c.opts.StateDir, i), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {

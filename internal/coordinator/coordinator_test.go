@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -711,69 +710,40 @@ func TestCoordinateCostBalancedBoundedMerge(t *testing.T) {
 	}
 }
 
-// TestCoordinateResumeFromV1Manifest is the fixture-based
-// backward-compatibility test: a state directory written by the
-// pre-cost coordinator (manifest version 1, no index sets, modular
-// shards, one shard unfinished) must resume transparently — only the
-// missing shard runs, the output is byte-identical to serial, and the
-// saved manifest is upgraded to version 2 with explicit index sets.
+// v1Manifest is a version-1 manifest as the pre-cost coordinator wrote
+// it: no per-shard index sets, the shards implicitly the modular
+// residue classes, one shard unfinished.
+const v1Manifest = `{
+  "version": 1,
+  "params": "test-params",
+  "shards": 3,
+  "total": 8,
+  "shard_state": [
+    {"state": "done", "attempts": 1, "records": 3},
+    {"state": "done", "attempts": 1, "records": 3},
+    {"state": "running", "attempts": 1, "records": 0}
+  ]
+}
+`
+
+// TestCoordinateResumeFromV1Manifest: a version-1 manifest is older
+// state. Resume refuses it with errOldState, naming the manifest to
+// remove, and launches nothing.
 func TestCoordinateResumeFromV1Manifest(t *testing.T) {
 	const total, shards = 8, 3
-	state := t.TempDir()
-	src := filepath.Join("testdata", "v1-state")
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(state, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	opts := baseOptions(t, total, shards)
-	opts.StateDir = state
-	opts.Resume = true
-	var launched []int
-	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-		launched = append(launched, task.Index)
-		// The synthesized modular index set for shard 2 of 3 over 8.
-		if want := []int{2, 5}; !reflect.DeepEqual(task.Indices, want) {
-			t.Errorf("shard %d got indices %v, want %v", task.Index, task.Indices, want)
-		}
-		return testWorker(total, nil, nil)(ctx, task, out, logw)
-	}
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
+	if err := os.WriteFile(manifestPath(opts.StateDir), []byte(v1Manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatal("v1 resume output differs from serial reference")
+	opts.Resume = true
+	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+		t.Errorf("shard %d launched from older state", task.Index)
+		return nil
 	}
-	if len(launched) != 1 || launched[0] != 2 {
-		t.Fatalf("v1 resume launched shards %v, want only the unfinished shard 2", launched)
-	}
-	if res.SkippedShards != 2 {
-		t.Fatalf("v1 resume skipped %d shards, want 2", res.SkippedShards)
-	}
-
-	man, err := loadManifest(state)
-	if err != nil || man == nil {
-		t.Fatalf("manifest: %v", err)
-	}
-	if man.Version != manifestVersion {
-		t.Fatalf("manifest still version %d after resume", man.Version)
-	}
-	for i, st := range man.Shard {
-		if st.Indices == "" {
-			t.Fatalf("upgraded manifest shard %d lacks an index set", i)
-		}
+	opts.Sink = results.NewJSONL(io.Discard)
+	_, err := Coordinate(opts)
+	if !errors.Is(err, errOldState) || !strings.Contains(err.Error(), "remove "+manifestPath(opts.StateDir)) {
+		t.Fatalf("want an older-state refusal naming the manifest, got %v", err)
 	}
 }
 
@@ -890,66 +860,4 @@ func modularIndices(i, shards, total int) []int {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestResumeReusesLegacyPlainShardFiles: a state directory whose done
-// shards were written uncompressed by a pre-compression coordinator
-// resumes without recomputing them — the read paths accept both
-// extensions — while the shard that does re-run publishes the new
-// compressed form alongside the legacy files of the others.
-func TestResumeReusesLegacyPlainShardFiles(t *testing.T) {
-	const total, shards = 9, 3
-	opts := baseOptions(t, total, shards)
-
-	// Fabricate the legacy layout by hand: a v2 manifest with all
-	// shards pending, plain .jsonl files for shards 0 and 1, nothing
-	// for shard 2.
-	writePlain := func(i int) {
-		var buf bytes.Buffer
-		sink := results.NewJSONL(&buf)
-		for _, k := range modularIndices(i, shards, total) {
-			if err := sink.Write(testRecord(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(legacyShardFile(opts.StateDir, i), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writePlain(0)
-	writePlain(1)
-	man := newManifest(opts, planPartition(total, shards, nil))
-	man.init()
-	if err := man.save(chaos.OS, opts.StateDir); err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Resume = true
-	var launched []int
-	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-		launched = append(launched, task.Index)
-		return testWorker(total, nil, nil)(ctx, task, out, logw)
-	}
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatal("legacy-mixed resume differs from serial bytes")
-	}
-	if len(launched) != 1 || launched[0] != 2 {
-		t.Fatalf("launched %v, want only the missing shard 2", launched)
-	}
-	if res.SkippedShards != 2 {
-		t.Fatalf("skipped %d shards, want the 2 legacy ones", res.SkippedShards)
-	}
-	// The re-run shard is compressed; the reused ones remain plain.
-	if !fileExists(shardFile(opts.StateDir, 2)) {
-		t.Fatal("re-run shard 2 missing its compressed file")
-	}
-	if !fileExists(legacyShardFile(opts.StateDir, 0)) || !fileExists(legacyShardFile(opts.StateDir, 1)) {
-		t.Fatal("legacy shard files were disturbed")
-	}
 }

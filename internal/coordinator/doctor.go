@@ -6,13 +6,15 @@ package coordinator
 // Finding carrying one copy-pasteable fix command. The design contract
 // mirrors the manifest's recovery rules exactly: states that a plain
 // `-resume` repairs on its own (a missing shard file, a pending shard's
-// partial output) are NOT findings, while states resume would silently
-// work around forever (a stranded plain twin of a valid gzip shard), or
-// cannot repair at all (a torn manifest, a done shard whose records are
-// corrupt), are. Running every printed fix leaves a directory doctor
-// reports clean; doctor itself never modifies anything.
+// partial output) are NOT findings, while states resume cannot repair
+// (a torn manifest, a done shard whose records are corrupt) or refuses
+// to read (older state: a manifest of another format version, a plain
+// uncompressed shard file), are. Running every printed fix leaves a
+// directory doctor reports clean; doctor itself never modifies
+// anything.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,10 +29,10 @@ import (
 type Finding struct {
 	// Code is the finding's stable machine-readable kind:
 	// "stale-lock", "foreign-lock", "lock-debris", "corrupt-manifest",
-	// "manifest-v1", "unverifiable-shard", "orphaned-shard",
-	// "superseded-plain", "torn-gzip", "corrupt-shard", "corrupt-spec",
-	// "spec-skew", "partial-result", "stale-partial", "corrupt-partial",
-	// "stale-speculation", "orphaned-spill".
+	// "old-state", "unverifiable-shard", "orphaned-shard",
+	// "corrupt-shard", "corrupt-spec", "spec-skew", "partial-result",
+	// "stale-partial", "corrupt-partial", "stale-speculation",
+	// "orphaned-spill".
 	Code string
 	// Path is the offending file.
 	Path string
@@ -98,15 +100,11 @@ func DoctorState(stateDir, reproCmd string) ([]Finding, error) {
 	manPath := manifestPath(stateDir)
 	man, err = loadManifest(stateDir)
 	switch {
+	case errors.Is(err, errOldState):
+		add("old-state", manPath, err.Error(), "rm "+manPath)
 	case err != nil:
 		add("corrupt-manifest", manPath, err.Error(), "rm "+manPath)
-		man = nil
 	case man != nil:
-		if man.Version == 1 {
-			add("manifest-v1", manPath,
-				"manifest is version 1 (pre cost-balancing); upgrade persists explicit per-shard index sets",
-				fmt.Sprintf("%s doctor -state %s -upgrade", reproCmd, stateDir))
-		}
 		man.init()
 		resolved, rerr := man.shardIndices()
 		if rerr != nil {
@@ -120,41 +118,32 @@ func DoctorState(stateDir, reproCmd string) ([]Finding, error) {
 	// Shard record files. With no readable manifest nothing ties them
 	// to any campaign, so each is unverifiable; with one, a slot beyond
 	// the shard count is an orphan from an abandoned layout, and an
-	// in-range file must validate when its ledger entry claims done.
-	shardSlots := map[int][]string{}
+	// in-range file must validate when its ledger entry claims done. A
+	// plain .jsonl shard file is older state whatever the manifest says.
 	for _, de := range entries {
 		m := shardFileRE.FindStringSubmatch(de.Name())
 		if m == nil {
 			continue
 		}
-		if m[2] == "log" {
+		p := filepath.Join(stateDir, de.Name())
+		switch m[2] {
+		case "log":
 			continue // logs are append-only diagnostics, never validated
+		case "jsonl":
+			add("old-state", p, "plain uncompressed shard file from an older state dir; no read path opens it", "rm "+p)
+			continue
 		}
 		slot := 0
 		fmt.Sscanf(m[1], "%d", &slot)
-		shardSlots[slot] = append(shardSlots[slot], filepath.Join(stateDir, de.Name()))
-	}
-	slots := make([]int, 0, len(shardSlots))
-	for slot := range shardSlots {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	for _, slot := range slots {
-		paths := shardSlots[slot]
-		sort.Strings(paths)
 		switch {
 		case man == nil:
-			for _, p := range paths {
-				add("unverifiable-shard", p, "shard file cannot be validated without a readable manifest", "rm "+p)
-			}
+			add("unverifiable-shard", p, "shard file cannot be validated without a readable manifest", "rm "+p)
 		case slot >= man.Shards:
-			for _, p := range paths {
-				add("orphaned-shard", p,
-					fmt.Sprintf("shard slot %d does not exist in this campaign's %d-shard layout (abandoned attempt)", slot, man.Shards),
-					"rm "+p)
-			}
+			add("orphaned-shard", p,
+				fmt.Sprintf("shard slot %d does not exist in this campaign's %d-shard layout (abandoned attempt)", slot, man.Shards),
+				"rm "+p)
 		default:
-			findings = append(findings, doctorShard(stateDir, slot, indices[slot], man.Shard[slot].State)...)
+			findings = append(findings, doctorShard(p, indices[slot], man.Shard[slot].State)...)
 		}
 	}
 
@@ -215,84 +204,21 @@ func DoctorState(stateDir, reproCmd string) ([]Finding, error) {
 	return findings, nil
 }
 
-// doctorShard judges one in-range shard slot's record file(s).
-func doctorShard(stateDir string, slot int, indices []int, state string) []Finding {
-	gz, plain := shardFile(stateDir, slot), legacyShardFile(stateDir, slot)
-	gzExists, plainExists := fileExists(gz), fileExists(plain)
-	var out []Finding
-	if gzExists && plainExists {
-		// A mixed-extension pair is the residue of a crash mid-upgrade.
-		// Agreeing contents need no doctor (resume resolves the pair
-		// itself); a pair that DISAGREES gets one finding naming the
-		// loser.
-		_, gzErr := validateShardFile(chaos.OS, gz, indices)
-		_, plainErr := validateShardFile(chaos.OS, plain, indices)
-		switch {
-		case gzErr == nil && plainErr != nil:
-			out = append(out, Finding{Code: "superseded-plain", Path: plain,
-				Detail: fmt.Sprintf("stale plain shard file next to its valid compressed form %s (crash mid-upgrade)", filepath.Base(gz)),
-				Fix:    "rm " + plain})
-		case gzErr != nil && plainErr == nil:
-			out = append(out, Finding{Code: "torn-gzip", Path: gz,
-				Detail: fmt.Sprintf("torn compressed shard file hides its valid plain form %s: %v", filepath.Base(plain), gzErr),
-				Fix:    "rm " + gz})
-		case gzErr != nil && plainErr != nil && state == shardDone:
-			out = append(out, Finding{Code: "corrupt-shard", Path: gz,
-				Detail: fmt.Sprintf("shard is recorded done but neither of its files validates: %v", gzErr),
-				Fix:    "rm " + gz})
-			out = append(out, Finding{Code: "corrupt-shard", Path: plain,
-				Detail: fmt.Sprintf("shard is recorded done but neither of its files validates: %v", plainErr),
-				Fix:    "rm " + plain})
-		}
-		return out
-	}
-	// Single (or no) file: a missing or partial file for a non-done
-	// shard is normal mid-campaign state that resume repairs, never a
-	// finding. A DONE shard's file must exist and validate — corruption
-	// after the fact (bit rot, truncation, a torn mid-file record the
-	// fail-fast reader pinpoints) is exactly what resume cannot detect
-	// until it re-reads, and what doctor exists to surface.
+// doctorShard judges an in-range shard slot's record file. A missing
+// or partial file for a non-done shard is normal mid-campaign state
+// that resume repairs, never a finding. A DONE shard's file must
+// validate — corruption after the fact (bit rot, truncation, a torn
+// mid-file record the fail-fast reader pinpoints) is exactly what
+// resume cannot detect until it re-reads, and what doctor exists to
+// surface.
+func doctorShard(path string, indices []int, state string) []Finding {
 	if state != shardDone {
 		return nil
 	}
-	path := gz
-	if !gzExists && plainExists {
-		path = plain
-	}
-	if !gzExists && !plainExists {
-		// Recoverable: resume revalidates, demotes to pending, re-runs.
-		return nil
-	}
 	if _, err := validateShardFile(chaos.OS, path, indices); err != nil {
-		out = append(out, Finding{Code: "corrupt-shard", Path: path,
+		return []Finding{{Code: "corrupt-shard", Path: path,
 			Detail: fmt.Sprintf("shard is recorded done but its file does not validate: %v", err),
-			Fix:    "rm " + path})
+			Fix:    "rm " + path}}
 	}
-	return out
-}
-
-// UpgradeManifest rewrites a state directory's manifest at the current
-// version with explicit per-shard index sets — the repair for the
-// "manifest-v1" finding. The in-memory upgrade is exactly what every
-// load performs (shardIndices synthesizes the residue-class sets);
-// Upgrade just persists it, under the coordinator lock so it can never
-// race a live run.
-func UpgradeManifest(stateDir string) error {
-	release, err := acquireLock(stateDir)
-	if err != nil {
-		return err
-	}
-	defer release()
-	man, err := loadManifest(stateDir)
-	if err != nil {
-		return err
-	}
-	if man == nil {
-		return fmt.Errorf("coordinator: no manifest in %s", stateDir)
-	}
-	man.init()
-	if _, err := man.shardIndices(); err != nil {
-		return err
-	}
-	return man.save(chaos.OS, stateDir)
+	return nil
 }

@@ -221,16 +221,17 @@ func plainRecords(t *testing.T, ks ...int) []byte {
 	return buf.Bytes()
 }
 
-// TestDoctorMixedShardPair: a crash between publishing shard.jsonl.gz
-// and deleting the superseded plain file leaves a mixed-extension pair.
-// Doctor names the loser: the stale plain twin of a valid gzip, or the
-// torn gzip hiding a valid plain file.
+// TestDoctorMixedShardPair: a plain shard file next to its gzip form —
+// what a crash mid-upgrade by an older coordinator left — is older
+// state however the two compare. Doctor reports the plain twin as
+// old-state and judges the gzip file alone; resume never reads the
+// plain file.
 func TestDoctorMixedShardPair(t *testing.T) {
 	t.Run("superseded-plain", func(t *testing.T) {
 		opts := completedState(t, 6, 2)
 		// Shard 0 owns {0,2,4}; a stale plain file with the WRONG records
 		// next to the valid gz.
-		plain := legacyShardFile(opts.StateDir, 0)
+		plain := filepath.Join(opts.StateDir, "shard-0000.jsonl")
 		if err := os.WriteFile(plain, plainRecords(t, 0, 2), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +239,8 @@ func TestDoctorMixedShardPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(findings) != 1 || findings[0].Code != "superseded-plain" || findings[0].Path != plain {
-			t.Fatalf("want one superseded-plain on %s, got %+v", plain, findings)
+		if len(findings) != 1 || findings[0].Code != "old-state" || findings[0].Path != plain {
+			t.Fatalf("want one old-state on %s, got %+v", plain, findings)
 		}
 		applyFixes(t, findings)
 		wantClean(t, opts.StateDir)
@@ -254,66 +255,98 @@ func TestDoctorMixedShardPair(t *testing.T) {
 		if err := os.WriteFile(gz, data[:len(data)-4], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(legacyShardFile(opts.StateDir, 0), plainRecords(t, 0, 2, 4), 0o644); err != nil {
+		plain := filepath.Join(opts.StateDir, "shard-0000.jsonl")
+		if err := os.WriteFile(plain, plainRecords(t, 0, 2, 4), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		findings, err := DoctorState(opts.StateDir, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(findings) != 1 || findings[0].Code != "torn-gzip" || findings[0].Path != gz {
-			t.Fatalf("want one torn-gzip on %s, got %+v", gz, findings)
+		if got, want := doctorCodes(findings), []string{"old-state", "corrupt-shard"}; !reflect.DeepEqual(got, want) ||
+			findings[0].Path != plain || findings[1].Path != gz {
+			t.Fatalf("want old-state on %s and corrupt-shard on %s, got %+v", plain, gz, findings)
+		}
+
+		// Resume re-runs the torn shard from its gzip file alone: the
+		// valid plain records are never served.
+		opts.Resume = true
+		var launched []int
+		opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+			launched = append(launched, task.Index)
+			return testWorker(6, nil, nil)(ctx, task, out, logw)
+		}
+		var buf bytes.Buffer
+		opts.Sink = results.NewJSONL(&buf)
+		if _, err := Coordinate(opts); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != serialBytes(t, 6) {
+			t.Fatal("resume next to a plain twin broke the merged bytes")
+		}
+		if !reflect.DeepEqual(launched, []int{0}) {
+			t.Fatalf("resume launched %v, want the torn shard 0", launched)
+		}
+		findings, err = DoctorState(opts.StateDir, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(findings) != 1 || findings[0].Code != "old-state" || findings[0].Path != plain {
+			t.Fatalf("after resume, want only the plain twin's old-state, got %+v", findings)
 		}
 		applyFixes(t, findings)
 		wantClean(t, opts.StateDir)
 	})
 }
 
-// TestDoctorV1Manifest: a pre-cost-balancing state dir draws the
-// manifest-v1 finding whose fix is the doctor's own -upgrade verb, and
-// running the upgrade (what that verb calls) clears it.
+// TestDoctorV1Manifest: a version-1 manifest is older state — exactly
+// one old-state finding whose fix removes the manifest — and without a
+// readable manifest the shard files it leaves are unverifiable.
+// Running the printed fixes leaves a clean directory.
 func TestDoctorV1Manifest(t *testing.T) {
-	state := t.TempDir()
-	src := filepath.Join("testdata", "v1-state")
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+	t.Run("manifest-only", func(t *testing.T) {
+		state := t.TempDir()
+		manPath := manifestPath(state)
+		if err := os.WriteFile(manPath, []byte(v1Manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		findings, err := DoctorState(state, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(state, e.Name()), data, 0o644); err != nil {
+		if len(findings) != 1 || findings[0].Code != "old-state" || findings[0].Path != manPath {
+			t.Fatalf("want one old-state on %s, got %+v", manPath, findings)
+		}
+		if findings[0].Fix != "rm "+manPath {
+			t.Fatalf("old-state fix = %q, want %q", findings[0].Fix, "rm "+manPath)
+		}
+		applyFixes(t, findings)
+		wantClean(t, state)
+	})
+	t.Run("with-shards", func(t *testing.T) {
+		opts := completedState(t, 6, 2)
+		manPath := manifestPath(opts.StateDir)
+		if err := os.WriteFile(manPath, []byte(v1Manifest), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	findings, err := DoctorState(state, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 || findings[0].Code != "manifest-v1" {
-		t.Fatalf("want one manifest-v1, got %+v", findings)
-	}
-	if want := fmt.Sprintf("repro doctor -state %s -upgrade", state); findings[0].Fix != want {
-		t.Fatalf("manifest-v1 fix = %q, want %q", findings[0].Fix, want)
-	}
-	if err := UpgradeManifest(state); err != nil {
-		t.Fatal(err)
-	}
-	wantClean(t, state)
-	man, err := loadManifest(state)
-	if err != nil || man == nil {
-		t.Fatalf("manifest after upgrade: %v", err)
-	}
-	if man.Version != manifestVersion {
-		t.Fatalf("upgrade left version %d", man.Version)
-	}
-	for i, st := range man.Shard {
-		if st.Indices == "" {
-			t.Fatalf("upgraded shard %d lacks an explicit index set", i)
+		plain := filepath.Join(opts.StateDir, "shard-0002.jsonl")
+		if err := os.WriteFile(plain, plainRecords(t, 2, 5), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
+		findings, err := DoctorState(opts.StateDir, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"old-state", "unverifiable-shard", "unverifiable-shard", "old-state"}
+		if got := doctorCodes(findings); !reflect.DeepEqual(got, want) {
+			t.Fatalf("findings %v, want %v", got, want)
+		}
+		if findings[3].Path != plain {
+			t.Fatalf("plain shard finding on %s, want %s", findings[3].Path, plain)
+		}
+		applyFixes(t, findings)
+		wantClean(t, opts.StateDir)
+	})
 }
 
 func TestDoctorSpec(t *testing.T) {
@@ -484,75 +517,6 @@ func TestAcquireLockRecordsIdentityAndHonorsLegacy(t *testing.T) {
 	release()
 }
 
-// --- Mixed-pair resolution on resume ------------------------------------
-
-// TestResumeResolvesMixedShardPair: resume must deal with a crash that
-// strands BOTH shard file forms, keeping whichever validates — without
-// relaunching the shard's worker.
-func TestResumeResolvesMixedShardPair(t *testing.T) {
-	t.Run("stale-plain-removed", func(t *testing.T) {
-		opts := completedState(t, 6, 2)
-		plain := legacyShardFile(opts.StateDir, 0)
-		if err := os.WriteFile(plain, plainRecords(t, 0, 2), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opts.Resume = true
-		var launched []int
-		opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-			launched = append(launched, task.Index)
-			return testWorker(6, nil, nil)(ctx, task, out, logw)
-		}
-		var buf bytes.Buffer
-		opts.Sink = results.NewJSONL(&buf)
-		if _, err := Coordinate(opts); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != serialBytes(t, 6) {
-			t.Fatal("resume with stranded plain twin broke the merged bytes")
-		}
-		if len(launched) != 0 {
-			t.Fatalf("resume relaunched shards %v despite a valid gz", launched)
-		}
-		if fileExists(plain) {
-			t.Fatal("superseded plain shard file survived resume")
-		}
-	})
-	t.Run("valid-plain-beats-torn-gz", func(t *testing.T) {
-		opts := completedState(t, 6, 2)
-		gz := shardFile(opts.StateDir, 0)
-		data, err := os.ReadFile(gz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(gz, data[:len(data)-4], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacyShardFile(opts.StateDir, 0), plainRecords(t, 0, 2, 4), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opts.Resume = true
-		var launched []int
-		opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-			launched = append(launched, task.Index)
-			return testWorker(6, nil, nil)(ctx, task, out, logw)
-		}
-		var buf bytes.Buffer
-		opts.Sink = results.NewJSONL(&buf)
-		if _, err := Coordinate(opts); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != serialBytes(t, 6) {
-			t.Fatal("resume with torn gz broke the merged bytes")
-		}
-		if len(launched) != 0 {
-			t.Fatalf("resume relaunched shards %v despite a valid plain file", launched)
-		}
-		if fileExists(gz) {
-			t.Fatal("torn gz survived resume next to its valid plain form")
-		}
-	})
-}
-
 // --- Sparse universe runs -----------------------------------------------
 
 // TestCoordinateSparseUniverse: a run over an explicit global index set
@@ -607,6 +571,32 @@ func TestCoordinateSparseUniverse(t *testing.T) {
 	opts.Universe = []int{2, 5, 9, 15}
 	if _, err := Coordinate(opts); err == nil || !strings.Contains(err.Error(), "covers index set") {
 		t.Fatalf("universe change not refused on resume: %v", err)
+	}
+
+	// More shards than universe indices: the surplus shards are empty,
+	// and an empty index set is an empty shard, on a fresh run and on
+	// resume alike.
+	small := []int{2, 5}
+	opts = baseOptions(t, len(small), 4)
+	opts.Universe = small
+	opts.Run = testWorker(20, nil, nil)
+	var wantSmall bytes.Buffer
+	sink = results.NewJSONL(&wantSmall)
+	for _, k := range small {
+		if err := sink.Write(testRecord(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, resume := range []bool{false, true} {
+		opts.Resume = resume
+		buf.Reset()
+		opts.Sink = results.NewJSONL(&buf)
+		if _, err := Coordinate(opts); err != nil {
+			t.Fatalf("resume=%v: %v", resume, err)
+		}
+		if buf.String() != wantSmall.String() {
+			t.Fatalf("resume=%v: sparse merge over empty shards = %q, want %q", resume, buf.String(), wantSmall.String())
+		}
 	}
 }
 

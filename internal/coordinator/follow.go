@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -95,10 +94,10 @@ func (f *follower) finish() (int, error) {
 
 // tail polls the shard files until the context is canceled, feeding
 // newly appended complete lines to the follower. It never blocks the
-// workers: files are read snapshot-style with offsets tracked per
+// workers: files are read snapshot-style with their sizes tracked per
 // shard, and a file that shrinks (a retry truncated it) or tears
-// mid-line is simply re-read from the start next tick — the follower's
-// deduplication makes re-reads idempotent.
+// mid-line is simply re-read from the start on a later tick — the
+// follower's deduplication makes re-reads idempotent.
 func (c *coord) tail(ctx context.Context) {
 	offsets := make([]int64, c.opts.Shards)
 	ticker := time.NewTicker(c.opts.PollInterval)
@@ -109,7 +108,7 @@ func (c *coord) tail(ctx context.Context) {
 			return
 		case <-ticker.C:
 			for i := range offsets {
-				if err := c.tailShard(i, &offsets[i]); err != nil {
+				if err := c.tailShard(shardFile(c.opts.StateDir, i), &offsets[i]); err != nil {
 					c.fail(err)
 					return
 				}
@@ -118,71 +117,10 @@ func (c *coord) tail(ctx context.Context) {
 	}
 }
 
-// tailShard reads shard i's newly appended records. Compressed shards
-// (the canonical form since workers gzip at the source) are re-read
-// whole whenever the file grows: the coordinator's flush-per-write
-// keeps complete deflate blocks on disk, so the prefix of a live gzip
-// stream decompresses up to the growth point, and the follower's
-// deduplication makes whole-file re-reads idempotent. Plain shards
-// (pre-compression state dirs) keep the byte-offset incremental path.
-// Transient anomalies (file missing, shrunk, torn line, mid-truncate
-// garbage, a not-yet-complete gzip header) rewind instead of erroring;
-// only a follower rejection — a genuine content conflict or sink
-// failure — is fatal.
-func (c *coord) tailShard(i int, offset *int64) error {
-	path := existingShardFile(c.opts.StateDir, i)
-	if strings.HasSuffix(path, ".gz") {
-		return c.tailShardGzip(path, offset)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil // not created yet
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil
-	}
-	size := info.Size()
-	if size < *offset {
-		*offset = 0 // truncated for a retry; re-read from the top
-	}
-	if size == *offset {
-		return nil
-	}
-	buf := make([]byte, size-*offset)
-	if _, err := f.ReadAt(buf, *offset); err != nil {
-		return nil
-	}
-	end := bytes.LastIndexByte(buf, '\n')
-	if end < 0 {
-		return nil // no complete line yet
-	}
-	chunk := buf[:end+1]
-	for len(chunk) > 0 {
-		nl := bytes.IndexByte(chunk, '\n')
-		line := bytes.TrimSpace(chunk[:nl])
-		chunk = chunk[nl+1:]
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := results.ParseRecord(line)
-		if err != nil {
-			// Caught a retry truncation mid-read; rewind and let the
-			// next tick see a consistent file.
-			*offset = 0
-			return nil
-		}
-		if err := c.fol.add(rec); err != nil {
-			return err
-		}
-	}
-	*offset += int64(end + 1)
-	return nil
-}
-
-// tailShardGzip feeds the decodable prefix of a growing compressed
-// shard to the follower. A gzip stream cannot be resumed mid-flate, so
+// tailShard feeds the decodable prefix of a growing shard file to the
+// follower. The coordinator's flush-per-write keeps complete deflate
+// blocks on disk, so the prefix of a live gzip stream decompresses up
+// to the growth point. A gzip stream cannot be resumed mid-flate, so
 // every read restarts decompression from byte 0; to keep the total
 // tailing cost linear instead of quadratic in the shard size, *offset
 // tracks the compressed size at the last full read and the shard is
@@ -193,8 +131,9 @@ func (c *coord) tailShard(i int, offset *int64) error {
 // threshold deferred. Decode errors mean "the tail is still being
 // written" and end the read quietly; the next qualifying tick retries
 // from the top and the follower deduplicates everything already
-// delivered.
-func (c *coord) tailShardGzip(path string, offset *int64) error {
+// delivered. Only a follower rejection — a genuine content conflict or
+// sink failure — is fatal.
+func (c *coord) tailShard(path string, offset *int64) error {
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil // not created yet
@@ -242,7 +181,7 @@ func (c *coord) tailShardGzip(path string, offset *int64) error {
 // record at a time plus the follower's contiguous-prefix buffer.
 func (c *coord) drainAll() error {
 	for i := 0; i < c.opts.Shards; i++ {
-		rd, err := results.NewFileReader(existingShardFile(c.opts.StateDir, i))
+		rd, err := results.NewFileReader(shardFile(c.opts.StateDir, i))
 		if err != nil {
 			return err
 		}

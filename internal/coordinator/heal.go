@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -272,7 +273,10 @@ func (c *coord) runSpeculative(ctx context.Context, i int) {
 
 	spec := specShardFile(c.opts.StateDir, i)
 	start := time.Now()
-	err := c.attemptShardTo(actx, i, attempt, spec, false)
+	out, err := c.fsys.OpenFile(spec, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err == nil {
+		err = c.attemptShard(actx, i, attempt, out)
+	}
 	n, verr := validateShardFile(c.fsys, spec, c.indices[i])
 
 	c.mu.Lock()

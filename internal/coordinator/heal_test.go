@@ -145,27 +145,26 @@ func TestCoordinateSpeculation(t *testing.T) {
 	}
 }
 
-// publishRaceFS holds the primary attempt of shard 0 between its
-// legacy-name Remove and its truncating open until a speculative
-// duplicate has renamed its side file over the canonical shard name —
-// the interleaving in which a late primary used to truncate a published
-// shard.
+// publishRaceFS records the order of the two operations the publish
+// race is about: the speculative Rename over the canonical shard name,
+// and truncating opens of that name.
 type publishRaceFS struct {
 	chaos.FS
-	legacy, canonical string
-	blocked           atomic.Bool
-	published         chan struct{}
-	once              sync.Once
+	canonical        string
+	published        chan struct{}
+	once             sync.Once
+	truncateAfterPub atomic.Bool
 }
 
-func (fs *publishRaceFS) Remove(name string) error {
-	if name == fs.legacy && fs.blocked.CompareAndSwap(false, true) {
+func (fs *publishRaceFS) OpenFile(name string, flag int, perm os.FileMode) (chaos.File, error) {
+	if name == fs.canonical && flag&os.O_TRUNC != 0 {
 		select {
 		case <-fs.published:
-		case <-time.After(5 * time.Second): // backstop: fail, do not hang
+			fs.truncateAfterPub.Store(true)
+		default:
 		}
 	}
-	return fs.FS.Remove(name)
+	return fs.FS.OpenFile(name, flag, perm)
 }
 
 func (fs *publishRaceFS) Rename(oldpath, newpath string) error {
@@ -176,12 +175,13 @@ func (fs *publishRaceFS) Rename(oldpath, newpath string) error {
 	return err
 }
 
-// TestCoordinateLatePrimaryKeepsPublishedShard: shard 0's primary stalls
-// before opening its shard file, shard 1 completes, the idle worker
-// speculates on shard 0 and publishes it. The released primary must back
-// off instead of truncating the published file, so the merge still sees
-// every record. A canceled attempt writes nothing, like a killed worker
-// process.
+// TestCoordinateLatePrimaryKeepsPublishedShard: shard 0's primary
+// stalls inside its worker until an idle worker has speculated on
+// shard 0 and renamed the duplicate over the canonical shard file. The
+// published file must survive the primary's late return: the merge
+// sees every record, and no truncating open of the canonical name
+// follows the Rename. A canceled attempt writes nothing, like a killed
+// worker process.
 func TestCoordinateLatePrimaryKeepsPublishedShard(t *testing.T) {
 	const total, shards = 8, 2
 	opts := baseOptions(t, total, shards)
@@ -189,12 +189,17 @@ func TestCoordinateLatePrimaryKeepsPublishedShard(t *testing.T) {
 	opts.Speculate = true
 	fsys := &publishRaceFS{
 		FS:        chaos.OS,
-		legacy:    legacyShardFile(opts.StateDir, 0),
 		canonical: shardFile(opts.StateDir, 0),
 		published: make(chan struct{}),
 	}
 	opts.FS = fsys
 	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+		if task.Index == 0 && task.Attempt == 1 {
+			select {
+			case <-fsys.published:
+			case <-time.After(5 * time.Second): // backstop: fail, do not hang
+			}
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -213,6 +218,9 @@ func TestCoordinateLatePrimaryKeepsPublishedShard(t *testing.T) {
 	}
 	if res.Speculated != 1 {
 		t.Fatalf("Speculated = %d, want 1", res.Speculated)
+	}
+	if fsys.truncateAfterPub.Load() {
+		t.Fatal("the canonical shard file was opened with O_TRUNC after the speculative Rename published it")
 	}
 	if buf.String() != serialBytes(t, total) {
 		t.Fatal("a late primary attempt clobbered the published shard")

@@ -33,13 +33,17 @@ const (
 // manifestName is the manifest's file name inside the state directory.
 const manifestName = "manifest.json"
 
-// manifestVersion guards the on-disk format. Version 2 added the
-// per-shard index set, cost estimate, and wall-time fields; version 1
-// manifests (whose shards are implicitly the modular residue classes)
-// are still readable — loadManifest upgrades them in memory and the
-// next save persists version 2 — so a state directory from before the
-// cost-balancing rework resumes transparently.
+// manifestVersion guards the on-disk format: the one version every
+// read path accepts. A state directory stamped with any other version
+// is older state (errOldState) — a cache, by contract, that is removed
+// and recomputed rather than migrated.
 const manifestVersion = 2
+
+// errOldState reports a state directory written in a format this
+// version no longer reads. Its fix is always to delete the stale file
+// and rerun; the shared result cache is unaffected, so the rerun
+// replays every configuration it holds.
+var errOldState = errors.New("older state dir")
 
 // shardState is one shard's progress entry.
 type shardState struct {
@@ -51,9 +55,7 @@ type shardState struct {
 	// Records is the validated record count of a done shard.
 	Records int `json:"records"`
 	// Indices is the shard's global index set in the compact range form
-	// of experiments.FormatIndexSet ("0-5,9"). Empty in version 1
-	// manifests, whose shards are the modular residue classes
-	// {k : k ≡ i (mod Shards)}.
+	// of experiments.FormatIndexSet ("0-5,9"); empty for an empty shard.
 	Indices string `json:"indices,omitempty"`
 	// Cost is the shard's estimated cost in the cost model's abstract
 	// units (0 when the run was not cost-balanced).
@@ -96,33 +98,10 @@ type manifest struct {
 
 func manifestPath(stateDir string) string { return filepath.Join(stateDir, manifestName) }
 
-// shardFile names shard i's record stream inside the state directory.
-// Workers have written gzip-compressed shard streams since the
-// compressed-shard rework, so the canonical name is shard-NNNN.jsonl.gz;
-// state directories written by earlier versions hold plain .jsonl files,
-// which every read path still accepts via existingShardFile.
+// shardFile names shard i's gzip-compressed record stream inside the
+// state directory.
 func shardFile(stateDir string, i int) string {
 	return filepath.Join(stateDir, fmt.Sprintf("shard-%04d.jsonl.gz", i))
-}
-
-// legacyShardFile names the uncompressed form older coordinators wrote.
-func legacyShardFile(stateDir string, i int) string {
-	return filepath.Join(stateDir, fmt.Sprintf("shard-%04d.jsonl", i))
-}
-
-// existingShardFile resolves the shard file actually on disk: the
-// compressed canonical name when present, else a pre-compression plain
-// file (the resume-compatibility path), else the canonical name for a
-// file about to be created.
-func existingShardFile(stateDir string, i int) string {
-	gz := shardFile(stateDir, i)
-	if _, err := os.Stat(gz); err == nil {
-		return gz
-	}
-	if plain := legacyShardFile(stateDir, i); fileExists(plain) {
-		return plain
-	}
-	return gz
 }
 
 func fileExists(path string) bool {
@@ -201,8 +180,9 @@ func loadManifest(stateDir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("coordinator: corrupt manifest %s: %w", manifestPath(stateDir), err)
 	}
-	if m.Version != manifestVersion && m.Version != 1 {
-		return nil, fmt.Errorf("coordinator: manifest version %d, want %d", m.Version, manifestVersion)
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("coordinator: %w: manifest version %d, want %d — remove %s and rerun (%s is kept, so the rerun replays every cached configuration)",
+			errOldState, m.Version, manifestVersion, manifestPath(stateDir), filepath.Join(stateDir, "cache"))
 	}
 	return &m, nil
 }
@@ -233,12 +213,9 @@ func (m *manifest) universeIndices() ([]int, error) {
 	return universe, nil
 }
 
-// shardIndices resolves every shard's global index set: the explicit
-// sets a version 2 manifest stores, or — for version 1 manifests and
-// entries written before cost balancing — the modular residue class
-// {k : k ≡ i (mod Shards)}. The resolved sets are written back to the
-// entries (upgrading the manifest in memory; the next save persists
-// version 2) and validated to exactly partition the universe —
+// shardIndices resolves every shard's global index set from the
+// explicit sets the manifest stores (an empty Indices is an empty
+// shard) and validates that they exactly partition the universe —
 // [0, Total) for a full campaign, the manifest's sparse index set for
 // an incremental one.
 func (m *manifest) shardIndices() ([][]int, error) {
@@ -264,19 +241,6 @@ func (m *manifest) shardIndices() ([][]int, error) {
 			if err != nil {
 				return nil, fmt.Errorf("coordinator: manifest shard %d: %w", i, err)
 			}
-		} else {
-			if universe != nil {
-				// The modular fallback reconstructs residue classes of
-				// [0, Total); a sparse manifest predates nothing — it must
-				// carry its explicit sets.
-				return nil, fmt.Errorf("coordinator: manifest shard %d has no index set but the manifest declares a sparse universe", i)
-			}
-			for k := i; k < m.Total; k += m.Shards {
-				indices = append(indices, k)
-			}
-			if len(indices) > 0 {
-				m.Shard[i].Indices = experiments.FormatIndexSet(indices)
-			}
 		}
 		for _, k := range indices {
 			pos := k
@@ -298,7 +262,6 @@ func (m *manifest) shardIndices() ([][]int, error) {
 	if covered != m.Total {
 		return nil, fmt.Errorf("coordinator: manifest shards cover %d of %d records", covered, m.Total)
 	}
-	m.Version = manifestVersion
 	return out, nil
 }
 

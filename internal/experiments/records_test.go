@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"sensorfusion/internal/cache"
@@ -438,5 +439,34 @@ func TestCacheHitKeepsCallerConfig(t *testing.T) {
 	}
 	if warm.Asc != cold.Asc || warm.Desc != cold.Desc || warm.Combos != cold.Combos {
 		t.Fatalf("computed fields diverged on hit: %+v vs %+v", warm, cold)
+	}
+}
+
+// TestTable1RunRefusesMisplacedEntry: a cache entry whose self-digest
+// is not the key it sits under — another key's digest, or none at all —
+// is refused by both the serial and the streamed evaluation instead of
+// being replayed, and MeasuredCost ignores its timing.
+func TestTable1RunRefusesMisplacedEntry(t *testing.T) {
+	cfg := Table1Config{Name: "t", Widths: []float64{5, 8, 11}, Fa: 1}
+	for _, digest := range []string{"other", ""} {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := coarse(1)
+		opts.Cache = store
+		key := opts.withDefaults().digest(cfg)
+		if err := store.Put(key, table1Entry{Digest: digest, ElapsedNS: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Table1Run(cfg, opts); err == nil || !strings.Contains(err.Error(), "misplaced") {
+			t.Fatalf("digest %q: Table1Run replayed the entry: %v", digest, err)
+		}
+		if _, err := Table1([]Table1Config{cfg}, opts); err == nil || !strings.Contains(err.Error(), "misplaced") {
+			t.Fatalf("digest %q: streamed run replayed the entry: %v", digest, err)
+		}
+		if _, ok, err := MeasuredCost(cfg, opts); err != nil || ok {
+			t.Fatalf("digest %q: MeasuredCost read the entry: ok=%v err=%v", digest, ok, err)
+		}
 	}
 }

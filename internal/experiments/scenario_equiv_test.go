@@ -69,7 +69,7 @@ func refFaultScenarioRun(s *faultScenario, steps int, rng *rand.Rand) ([]results
 		if within && !fused.Contains(truth) {
 			soundnessViolations++
 		}
-		suspects := fusion.Detect(ivs, fused)
+		suspects := fusion.Detect(nil, ivs, fused)
 		if len(suspects) > 0 {
 			detections++
 		}

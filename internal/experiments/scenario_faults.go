@@ -106,7 +106,7 @@ func (s *faultScenario) run(steps int, rng *rand.Rand) ([]results.Metric, error)
 		if within && !fused.Contains(truth) {
 			soundnessViolations++
 		}
-		suspects := fusion.Detect(ivs, fused)
+		suspects := fusion.Detect(nil, ivs, fused)
 		if len(suspects) > 0 {
 			detections++
 		}

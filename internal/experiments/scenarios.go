@@ -239,8 +239,8 @@ func runScenarioTask(t scenarioTask, o ScenarioOptions) (results.Record, error) 
 		if err != nil {
 			return results.Record{}, err
 		}
-		if hit && entry.Digest != "" && entry.Digest != key {
-			return results.Record{}, fmt.Errorf("experiments: cache entry %s carries digest %s — misplaced or corrupt entry (run `repro doctor -cache %s`)",
+		if hit && entry.Digest != key {
+			return results.Record{}, fmt.Errorf("experiments: cache entry %s carries digest %q — misplaced or corrupt entry (run `repro doctor -cache %s`)",
 				key, entry.Digest, o.Cache.Dir())
 		}
 		if hit {

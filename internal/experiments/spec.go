@@ -96,33 +96,19 @@ func DiffSpecs(old, cur []string) SpecDiff {
 	return diff
 }
 
-// CacheEntryStatus is the doctor's view of one raw cache entry.
-type CacheEntryStatus struct {
-	// Key is the entry's cache key (its file name stem).
-	Key string
-	// Measured reports whether the entry carries a positive wall time —
-	// entries that predate measured-cost feedback read false and starve
-	// the coordinator's calibrated cost model.
-	Measured bool
-	// Err is non-nil for an entry that must not be replayed: unparseable
-	// JSON, or a self-digest disagreeing with the key it is stored under.
-	Err error
-}
-
 // InspectCacheEntry validates one scanned cache entry against the
 // experiment pipeline's entry format — the cache package stores opaque
 // bytes; only this package knows what a well-formed entry looks like.
-func InspectCacheEntry(e cache.Entry) CacheEntryStatus {
-	st := CacheEntryStatus{Key: e.Key}
+// A non-nil error marks an entry that must not be replayed: unparseable
+// JSON, or a self-digest (possibly empty) disagreeing with the key it
+// is stored under.
+func InspectCacheEntry(e cache.Entry) error {
 	var entry table1Entry
 	if err := json.Unmarshal(e.Data, &entry); err != nil {
-		st.Err = fmt.Errorf("experiments: cache entry %s: corrupt JSON: %w", e.Key, err)
-		return st
+		return fmt.Errorf("experiments: cache entry %s: corrupt JSON: %w", e.Key, err)
 	}
-	if entry.Digest != "" && entry.Digest != e.Key {
-		st.Err = fmt.Errorf("experiments: cache entry %s carries digest %s — entry is misplaced or corrupt", e.Key, entry.Digest)
-		return st
+	if entry.Digest != e.Key {
+		return fmt.Errorf("experiments: cache entry %s carries digest %q — entry is misplaced or corrupt", e.Key, entry.Digest)
 	}
-	st.Measured = entry.ElapsedNS > 0
-	return st
+	return nil
 }

@@ -159,29 +159,20 @@ func TestInspectCacheEntry(t *testing.T) {
 		}
 		return cache.Entry{Key: key, Data: data}
 	}
-	// Healthy measured entry.
-	st := InspectCacheEntry(entry("k1", table1Entry{Digest: "k1", ElapsedNS: 5}))
-	if st.Err != nil || !st.Measured || st.Key != "k1" {
-		t.Fatalf("healthy entry = %+v", st)
+	// Healthy entry.
+	if err := InspectCacheEntry(entry("k1", table1Entry{Digest: "k1", ElapsedNS: 5})); err != nil {
+		t.Fatalf("healthy entry: %v", err)
 	}
-	// Unmeasured (pre measured-cost) entry.
-	st = InspectCacheEntry(entry("k2", table1Entry{Digest: "k2"}))
-	if st.Err != nil || st.Measured {
-		t.Fatalf("unmeasured entry = %+v", st)
-	}
-	// Legacy entry without a self-digest: tolerated, unmeasured or not.
-	st = InspectCacheEntry(entry("k3", table1Entry{ElapsedNS: 5}))
-	if st.Err != nil || !st.Measured {
-		t.Fatalf("legacy entry = %+v", st)
+	// Entry without a self-digest: refused like a misplaced one.
+	if err := InspectCacheEntry(entry("k3", table1Entry{ElapsedNS: 5})); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("digest-less entry: %v", err)
 	}
 	// Self-digest disagreeing with the key: misplaced or corrupt.
-	st = InspectCacheEntry(entry("k4", table1Entry{Digest: "other", ElapsedNS: 5}))
-	if st.Err == nil || !strings.Contains(st.Err.Error(), "digest") {
-		t.Fatalf("misplaced entry = %+v", st)
+	if err := InspectCacheEntry(entry("k4", table1Entry{Digest: "other", ElapsedNS: 5})); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("misplaced entry: %v", err)
 	}
 	// Torn JSON.
-	st = InspectCacheEntry(cache.Entry{Key: "k5", Data: []byte("{torn")})
-	if st.Err == nil {
-		t.Fatalf("torn entry = %+v", st)
+	if err := InspectCacheEntry(cache.Entry{Key: "k5", Data: []byte("{torn")}); err == nil {
+		t.Fatal("torn entry accepted")
 	}
 }

@@ -206,15 +206,13 @@ type Table1Row struct {
 // emitted records must stay byte-identical across worker counts, shards,
 // and machines (the determinism oracle), and wall time never is — so
 // the shared cache is the carrier that feeds measured per-configuration
-// times back into the coordinator's cost model. Pre-timing entries
-// (ElapsedNS zero or absent) read back as "not measured".
+// times back into the coordinator's cost model.
 //
 // Digest is the entry's self-description: the cache key it was stored
 // under. A key is the digest of the inputs that PRODUCED the row, so an
-// entry sitting at a path whose name disagrees with its own digest is
-// either a copy error or a corrupted store — `doctor` flags it, and Get
-// refuses to replay it. Pre-hardening entries (empty Digest) are
-// accepted as written.
+// entry sitting at a path whose name disagrees with its own digest —
+// an empty digest included — is either a copy error or a corrupted
+// store: `doctor` flags it, and Get refuses to replay it.
 type table1Entry struct {
 	Table1Row
 	ElapsedNS int64  `json:"elapsed_ns,omitempty"`
@@ -247,8 +245,8 @@ func Table1Run(cfg Table1Config, opts Table1Options) (Table1Row, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
-		if hit && entry.Digest != "" && entry.Digest != cacheKey {
-			return Table1Row{}, fmt.Errorf("experiments: cache entry %s carries digest %s — misplaced or corrupt entry (run `repro doctor -cache %s`)",
+		if hit && entry.Digest != cacheKey {
+			return Table1Row{}, fmt.Errorf("experiments: cache entry %s carries digest %q — misplaced or corrupt entry (run `repro doctor -cache %s`)",
 				cacheKey, entry.Digest, o.Cache.Dir())
 		}
 		if hit {
@@ -332,7 +330,8 @@ func Table1Run(cfg Table1Config, opts Table1Options) (Table1Row, error) {
 // time: the duration the attempt that computed (and cached) this exact
 // (config, options, seed) evaluation took. ok is false when the
 // configuration was never computed with opts.Cache set, when the entry
-// predates timing, or when no cache is configured. This is the
+// carries no positive wall time or is misplaced, or when no cache is
+// configured. This is the
 // per-configuration feedback channel of the cost model — see
 // CampaignOptions.MeasuredCosts and CalibratedCosts.
 func MeasuredCost(cfg Table1Config, opts Table1Options) (d time.Duration, ok bool, err error) {
@@ -349,7 +348,7 @@ func MeasuredCost(cfg Table1Config, opts Table1Options) (d time.Duration, ok boo
 	// A misplaced entry's timing belongs to some other configuration;
 	// treat it as unmeasured (cost feedback is advisory — Table1Run and
 	// doctor are the loud paths for the underlying corruption).
-	if !hit || entry.ElapsedNS <= 0 || (entry.Digest != "" && entry.Digest != key) {
+	if !hit || entry.ElapsedNS <= 0 || entry.Digest != key {
 		return 0, false, nil
 	}
 	return time.Duration(entry.ElapsedNS), true, nil
@@ -411,8 +410,8 @@ func table1RunPart(cfg Table1Config, o Table1Options, part int) (table1Part, err
 		if err != nil {
 			return table1Part{}, err
 		}
-		if hit && entry.Digest != "" && entry.Digest != key {
-			return table1Part{}, fmt.Errorf("experiments: cache entry %s carries digest %s — misplaced or corrupt entry (run `repro doctor -cache %s`)",
+		if hit && entry.Digest != key {
+			return table1Part{}, fmt.Errorf("experiments: cache entry %s carries digest %q — misplaced or corrupt entry (run `repro doctor -cache %s`)",
 				key, entry.Digest, o.Cache.Dir())
 		}
 		if hit {

@@ -8,15 +8,16 @@ import "sensorfusion/internal/interval"
 // interval contains the true value and the true value lies in the fusion
 // interval whenever at most f sensors are faulty.
 //
-// It returns the indices of suspect intervals, in ascending order.
-func Detect(ivs []interval.Interval, fused interval.Interval) []int {
-	var suspects []int
+// It appends the indices of suspect intervals, in ascending order, to
+// dst and returns the extended slice: pass nil for a fresh slice, or a
+// reused buffer truncated to length zero to detect without allocating.
+func Detect(dst []int, ivs []interval.Interval, fused interval.Interval) []int {
 	for k, iv := range ivs {
 		if !iv.Intersects(fused) {
-			suspects = append(suspects, k)
+			dst = append(dst, k)
 		}
 	}
-	return suspects
+	return dst
 }
 
 // FuseAndDetect fuses the intervals and returns both the fusion interval
@@ -26,7 +27,7 @@ func FuseAndDetect(ivs []interval.Interval, f int) (interval.Interval, []int, er
 	if err != nil {
 		return interval.Interval{}, nil, err
 	}
-	return fused, Detect(ivs, fused), nil
+	return fused, Detect(nil, ivs, fused), nil
 }
 
 // FuseToFixpoint repeats FuseDiscarding until no further interval is

@@ -13,7 +13,7 @@ func TestDetectNoSuspects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Detect(ivs, fused); len(got) != 0 {
+	if got := Detect(nil, ivs, fused); len(got) != 0 {
 		t.Fatalf("Detect = %v, want none", got)
 	}
 }
@@ -24,9 +24,29 @@ func TestDetectFlagsOutlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Detect(ivs, fused)
+	got := Detect(nil, ivs, fused)
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("Detect = %v, want [5]", got)
+	}
+}
+
+// TestDetectAppendsIntoDst: Detect extends dst, keeping what it holds,
+// and a reused buffer with room detects without allocating.
+func TestDetectAppendsIntoDst(t *testing.T) {
+	ivs := append(fig1Intervals(), interval.MustNew(100, 101))
+	fused, err := Fuse(ivs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Detect([]int{-1}, ivs, fused)
+	if len(got) != 2 || got[0] != -1 || got[1] != 5 {
+		t.Fatalf("Detect = %v, want [-1 5]", got)
+	}
+	buf := make([]int, 0, len(ivs))
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = Detect(buf[:0], ivs, fused)
+	}); allocs != 0 {
+		t.Fatalf("Detect into a reused buffer: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -46,7 +66,7 @@ func TestDetectTouchingIsNotSuspect(t *testing.T) {
 	if !fused.Equal(interval.Point(2)) {
 		t.Fatalf("fused = %v, want [2,2]", fused)
 	}
-	if got := Detect(ivs, fused); len(got) != 0 {
+	if got := Detect(nil, ivs, fused); len(got) != 0 {
 		t.Fatalf("Detect = %v, want none", got)
 	}
 }

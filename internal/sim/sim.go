@@ -174,14 +174,9 @@ func (s *Simulator) RoundInto(correct []interval.Interval, out *RoundResult) err
 	if !ok {
 		return fmt.Errorf("%w: n=%d f=%d", fusion.ErrNoFusion, n, s.setup.F)
 	}
-	// The detector of fusion.Detect, into the reused suspect buffer:
-	// against a stealthy attacker nothing is appended.
-	s.suspects = s.suspects[:0]
-	for k, iv := range final {
-		if !iv.Intersects(fused) {
-			s.suspects = append(s.suspects, k)
-		}
-	}
+	// Against a stealthy attacker nothing is appended to the reused
+	// suspect buffer.
+	s.suspects = fusion.Detect(s.suspects[:0], final, fused)
 	out.Order = order
 	out.Final = final
 	out.Fused = fused

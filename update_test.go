@@ -2,8 +2,11 @@ package sensorfusion
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -160,5 +163,80 @@ func TestUpdateRequiresCompletedCampaign(t *testing.T) {
 	opts.Resume = true
 	if _, err := Update(opts, NewJSONLSink(&buf)); err == nil {
 		t.Fatal("Update accepted Resume")
+	}
+}
+
+// TestOldStateRerunKeepsCache: a state directory whose manifest is an
+// older format version draws exactly one old-state finding, fixed by
+// removing the manifest. Resume refuses the older manifest; after the
+// fix a fresh Coordinate replays every configuration from STATE/cache
+// and reproduces the original bytes.
+func TestOldStateRerunKeepsCache(t *testing.T) {
+	state := t.TempDir()
+	opts := CoordinatorOptions{StateDir: state, Workers: 2, Shards: 3, Seed: 5, Step: 4, Lengths: []float64{5, 8}}
+	var first bytes.Buffer
+	if _, err := Coordinate(opts, NewJSONLSink(&first)); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := filepath.Join(state, "cache")
+	before := cacheEntryKeys(t, cacheDir)
+
+	manPath := filepath.Join(state, "manifest.json")
+	v1 := `{"version": 1, "params": "p", "shards": 3, "total": 3, "shard_state": [{"state": "done"}, {"state": "done"}, {"state": "done"}]}`
+	if err := os.WriteFile(manPath, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings, err := Doctor(DoctorOptions{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []Finding
+	for _, f := range findings {
+		if f.Code == "old-state" {
+			old = append(old, f)
+		}
+	}
+	if len(old) != 1 || old[0].Path != manPath || old[0].Fix != "rm "+manPath {
+		t.Fatalf("want one old-state finding fixed by rm %s, got %+v", manPath, findings)
+	}
+
+	resume := opts
+	resume.Resume = true
+	if _, err := Coordinate(resume, NewJSONLSink(&bytes.Buffer{})); err == nil || !strings.Contains(err.Error(), "older state") {
+		t.Fatalf("resume over an older manifest: want an older-state refusal, got %v", err)
+	}
+
+	if err := os.Remove(manPath); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := Coordinate(opts, NewJSONLSink(&again)); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != first.String() {
+		t.Fatal("rerun after removing the older manifest changed the bytes")
+	}
+	logs, err := filepath.Glob(filepath.Join(state, "shard-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := 0, 0
+	for _, path := range logs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`(\d+) hits, (\d+) misses`).FindAllStringSubmatch(string(data), -1) {
+			h, _ := strconv.Atoi(m[1])
+			n, _ := strconv.Atoi(m[2])
+			hits += h
+			misses += n
+		}
+	}
+	if hits == 0 || misses != 0 {
+		t.Fatalf("rerun cache accounting: %d hits, %d misses; want every lookup a hit", hits, misses)
+	}
+	if after := cacheEntryKeys(t, cacheDir); len(after) != len(before) {
+		t.Fatalf("rerun grew the cache %d -> %d entries", len(before), len(after))
 	}
 }
