@@ -577,26 +577,6 @@ func benchCampaign(b *testing.B, workers int) {
 func BenchmarkCampaignParallel_1(b *testing.B)      { benchCampaign(b, 1) }
 func BenchmarkCampaignParallel_NumCPU(b *testing.B) { benchCampaign(b, runtime.NumCPU()) }
 
-// Exhaustive schedule ranking for a Table I configuration: validates the
-// Ascending recommendation against all n! fixed orders.
-func BenchmarkAllSchedules_n3(b *testing.B) {
-	var ranks []experiments.ScheduleRank
-	for i := 0; i < b.N; i++ {
-		var err error
-		ranks, err = experiments.AllSchedules([]float64{5, 11, 17}, 1,
-			experiments.Table1Options{MeasureStep: 1, AttackerStep: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	pos, mean, ok := experiments.FindRank(ranks, experiments.AscendingSlotWidths([]float64{5, 11, 17}))
-	if !ok {
-		b.Fatal("ascending missing")
-	}
-	b.ReportMetric(float64(pos+1), "asc-rank")
-	b.ReportMetric(mean, "asc-E|S|")
-}
-
 func BenchmarkPlatoonStep(b *testing.B) {
 	p := platoon.NewParams(schedule.Descending)
 	r, err := platoon.NewRunner(p, rand.New(rand.NewSource(3)))

@@ -131,6 +131,7 @@ import (
 	"sensorfusion/internal/attack"
 	"sensorfusion/internal/cache"
 	"sensorfusion/internal/campaign"
+	"sensorfusion/internal/chaos"
 	"sensorfusion/internal/coordinator"
 	"sensorfusion/internal/experiments"
 	"sensorfusion/internal/platoon"
@@ -920,7 +921,7 @@ func runMerge(args []string) error {
 	if err := sf.streamOut(func(sink results.Sink) error {
 		checker.Next = sink
 		var err error
-		stats, err = results.MergeFiles(files, checker, *expect, *window, "")
+		stats, err = results.MergeFiles(chaos.OS, files, checker, *expect, *window, "")
 		return err
 	}); err != nil {
 		return err

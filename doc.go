@@ -123,7 +123,7 @@
 // `repro doctor` are the CLI surfaces.
 //
 // The facade re-exports the core types; the full machinery lives in the
-// internal packages (interval, fusion, sensor, bus, schedule, attack,
+// internal packages (interval, fusion, sensor, schedule, attack,
 // sim, platoon, experiments, campaign, results, cache, coordinator) and
 // is exercised end to end by the examples/ programs and the cmd/repro
 // experiment harness. docs/ARCHITECTURE.md maps the layers, spells out

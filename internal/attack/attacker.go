@@ -113,9 +113,6 @@ func (a *Attacker) Targets() []int {
 // Compromised reports whether sensor idx is under the attacker's control.
 func (a *Attacker) Compromised(idx int) bool { return a.targets[idx] }
 
-// StrategyName returns the underlying strategy's name.
-func (a *Attacker) StrategyName() string { return a.strategy.Name() }
-
 // BeginRound resets per-round state and records the correct readings of
 // the compromised sensors (the attacker can always read her own sensors
 // before deciding). correct holds EVERY sensor's correct interval for
@@ -150,8 +147,9 @@ func (a *Attacker) BeginRound(correct []interval.Interval) error {
 // readings for the current round.
 func (a *Attacker) Delta() interval.Interval { return a.delta }
 
-// Observe records a frame broadcast on the bus (including the attacker's
-// own transmissions, which the sim echoes back like any bus observer).
+// Observe records an interval broadcast on the bus. The simulator calls
+// it for every slot in slot order, the attacker's own transmissions
+// included.
 func (a *Attacker) Observe(sensor int, iv interval.Interval) {
 	a.seen = append(a.seen, iv)
 	if a.targets[sensor] {

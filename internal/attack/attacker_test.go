@@ -56,8 +56,8 @@ func TestAttackerDefaultsToOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.StrategyName() != "optimal" {
-		t.Fatalf("default strategy = %q", a.StrategyName())
+	if a.strategy.Name() != "optimal" {
+		t.Fatalf("default strategy = %q", a.strategy.Name())
 	}
 }
 

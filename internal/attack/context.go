@@ -370,15 +370,10 @@ func (p stealthPool) windowMaxCov(a interval.Interval, skip, limit int) int {
 	return best
 }
 
-// TruthPoints discretizes the attacker's belief about the true value: a
-// small grid over Delta (the true value is guaranteed to lie there).
-func (c Context) TruthPoints() []float64 {
-	return c.appendTruthPoints(nil)
-}
-
-// appendTruthPoints appends the TruthPoints grid to dst — the
-// allocation-free form the plan search's evaluator uses with a reused
-// scratch buffer.
+// appendTruthPoints discretizes the attacker's belief about the true
+// value — a small grid over Delta, where the true value is guaranteed
+// to lie — appending it to dst, so the plan search's evaluator can reuse
+// one scratch buffer.
 func (c Context) appendTruthPoints(dst []float64) []float64 {
 	d := c.Delta
 	if d.Width() == 0 {

@@ -281,3 +281,9 @@ func TestRngForDeterministic(t *testing.T) {
 		t.Log("different contexts produced the same seed (allowed, but suspicious)")
 	}
 }
+
+// TruthPoints discretizes the attacker's belief about the true value: a
+// small grid over Delta (the true value is guaranteed to lie there).
+func (c Context) TruthPoints() []float64 {
+	return c.appendTruthPoints(nil)
+}

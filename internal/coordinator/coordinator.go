@@ -634,10 +634,10 @@ func Coordinate(opts Options) (Result, error) {
 		spill := filepath.Join(opts.StateDir, "merge-spill")
 		var stats results.MergeStats
 		if opts.Universe != nil {
-			stats, err = results.MergeFilesIndexedFS(c.fsys, paths, checked, opts.Universe,
+			stats, err = results.MergeFilesIndexed(c.fsys, paths, checked, opts.Universe,
 				opts.MergeWindow, spill)
 		} else {
-			stats, err = results.MergeFilesFS(c.fsys, paths, checked, opts.Total,
+			stats, err = results.MergeFiles(c.fsys, paths, checked, opts.Total,
 				opts.MergeWindow, spill)
 		}
 		if err != nil {
@@ -688,7 +688,7 @@ func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped,
 	if len(union) > 0 {
 		spill := filepath.Join(c.opts.StateDir, "merge-spill")
 		var err error
-		stats, err = results.MergeFilesIndexedFS(c.fsys, paths, checked, union, c.opts.MergeWindow, spill)
+		stats, err = results.MergeFilesIndexed(c.fsys, paths, checked, union, c.opts.MergeWindow, spill)
 		if err != nil {
 			return Result{}, err
 		}

@@ -95,7 +95,7 @@ func TestSweepOutputByteIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	ref := ""
 	for _, workers := range workerCounts() {
-		res, err := RunSweep(cfgs, coarse(workers))
+		res, err := RunCampaign(CampaignOptions{Table1Options: coarse(workers), Configs: cfgs})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -143,20 +143,5 @@ func TestRunCampaignOnExplicitSliceMatchesAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(res, ref) {
 			t.Fatalf("workers=%d: campaign result diverged:\n%+v\nvs workers=1\n%+v", workers, res, ref)
 		}
-	}
-}
-
-func TestAllSchedulesMatchesAcrossWorkerCounts(t *testing.T) {
-	widths := []float64{5, 11, 17}
-	ref, err := AllSchedules(widths, 1, coarse(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AllSchedules(widths, 1, coarse(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("ranking diverges across worker counts:\ngot  %+v\nwant %+v", got, ref)
 	}
 }

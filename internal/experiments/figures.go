@@ -536,9 +536,6 @@ search:
 	return fig, nil
 }
 
-// AllFigures generates every figure.
-func AllFigures() ([]Figure, error) { return FiguresParallel(0) }
-
 // figuresStream is the generator's streaming core: one engine task per
 // figure, delivered to emit in figure order as they complete. Figure
 // generation draws no randomness, so the stream is identical for every

@@ -66,7 +66,7 @@ func TestFigure5(t *testing.T) {
 }
 
 func TestAllFigures(t *testing.T) {
-	figs, err := AllFigures()
+	figs, err := FiguresParallel(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -344,42 +343,6 @@ func TestRecordsAdaptersAgreeWithSliceAPIs(t *testing.T) {
 	}
 	if stratCol.Records[0].Config != "null" || stratCol.Records[4].Config != "optimal" {
 		t.Fatalf("strategy order drifted: %s .. %s", stratCol.Records[0].Config, stratCol.Records[4].Config)
-	}
-
-	ranks, err := AllSchedules([]float64{5, 11, 17}, 1, coarse(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var schedCol results.Collector
-	if err := AllSchedulesRecords([]float64{5, 11, 17}, 1, coarse(2), &schedCol); err != nil {
-		t.Fatal(err)
-	}
-	if len(schedCol.Records) != len(ranks) {
-		t.Fatalf("%d schedule records for %d ranks", len(schedCol.Records), len(ranks))
-	}
-	// Streamed records are the unranked enumeration: distinct configs,
-	// indices 0..n!-1, and the multiset of means matches the ranking.
-	configs := map[string]bool{}
-	var means []float64
-	for k, rec := range schedCol.Records {
-		if rec.Index != k {
-			t.Fatalf("schedule record %d carries index %d", k, rec.Index)
-		}
-		configs[rec.Config] = true
-		m, ok := rec.Metric("mean")
-		if !ok {
-			t.Fatalf("schedule record %d missing mean", k)
-		}
-		means = append(means, m)
-	}
-	if len(configs) != len(ranks) {
-		t.Fatalf("duplicate schedule records")
-	}
-	sort.Float64s(means)
-	for k, r := range ranks {
-		if means[k] != r.Mean {
-			t.Fatalf("streamed means diverge from ranking at %d: %v vs %v", k, means[k], r.Mean)
-		}
 	}
 }
 

@@ -46,8 +46,6 @@ func (s *consensusScenario) canon() string {
 		s.nodes, s.complete, s.byz, s.bias, s.noise)
 }
 
-func (s *consensusScenario) cost() float64 { return float64(s.nodes * s.nodes) }
-
 func (s *consensusScenario) run(steps int, rng *rand.Rand) ([]results.Metric, error) {
 	g, err := func() (*consensus.Graph, error) {
 		if s.complete {

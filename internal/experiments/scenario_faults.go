@@ -45,8 +45,6 @@ func (s *faultScenario) canon() string {
 		s.widths, s.f, s.rate, s.maxShift, s.window, s.threshold)
 }
 
-func (s *faultScenario) cost() float64 { return float64(len(s.widths)) }
-
 func (s *faultScenario) run(steps int, rng *rand.Rand) ([]results.Metric, error) {
 	n := len(s.widths)
 	det, err := faults.NewWindowDetector(n, s.window, s.threshold)

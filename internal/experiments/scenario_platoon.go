@@ -42,10 +42,6 @@ func (s *platoonScenario) canon() string {
 		s.vehicles, s.kind, s.wire, s.trustedImmune)
 }
 
-// cost reflects the attacker's per-round plan search dominating the
-// per-vehicle round work.
-func (s *platoonScenario) cost() float64 { return 50 * float64(s.vehicles) }
-
 func (s *platoonScenario) params() platoon.Params {
 	p := platoon.NewParams(s.kind)
 	p.Vehicles = s.vehicles

@@ -45,13 +45,6 @@ func (s *trackScenario) canon() string {
 		s.widths, s.f, s.targets, s.drift, s.ascKind)
 }
 
-func (s *trackScenario) cost() float64 {
-	if len(s.targets) > 0 {
-		return 50 * float64(len(s.widths))
-	}
-	return float64(len(s.widths))
-}
-
 func (s *trackScenario) run(steps int, rng *rand.Rand) ([]results.Metric, error) {
 	var sched schedule.Scheduler
 	var err error

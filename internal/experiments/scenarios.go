@@ -79,8 +79,7 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 }
 
 // scenarioRunner is one case-study configuration: a label for reports,
-// a canonical parameter string for digests, an analytic cost proxy for
-// shard planning, and the simulation itself. Implementations live in
+// a canonical parameter string for digests, and the simulation itself. Implementations live in
 // scenario_faults.go, scenario_platoon.go, scenario_consensus.go, and
 // scenario_track.go.
 type scenarioRunner interface {
@@ -89,9 +88,6 @@ type scenarioRunner interface {
 	// result-bearing knob of the configuration (steps, seed, and index
 	// are appended by the digest).
 	canon() string
-	// cost estimates the configuration's work in arbitrary comparable
-	// units per step (the analytic cost proxy ScenarioCosts exposes).
-	cost() float64
 	// run simulates the scenario for steps rounds using rng as the only
 	// randomness source and returns the record metrics in fixed order.
 	run(steps int, rng *rand.Rand) ([]results.Metric, error)
@@ -192,23 +188,6 @@ func ScenarioDigests(opts ScenarioOptions) ([]string, error) {
 		digests[k] = o.digest(t)
 	}
 	return digests, nil
-}
-
-// ScenarioCosts returns the analytic per-scenario cost estimates for
-// the planned run, in plan order and arbitrary comparable units — the
-// input a cost-balancing shard planner (coordinator.BalancedShards
-// style) packs.
-func ScenarioCosts(opts ScenarioOptions) ([]float64, error) {
-	o := opts.withDefaults()
-	tasks, err := o.plan()
-	if err != nil {
-		return nil, err
-	}
-	costs := make([]float64, len(tasks))
-	for k, t := range tasks {
-		costs[k] = t.runner.cost() * float64(o.Steps)
-	}
-	return costs, nil
 }
 
 // scenarioEntry is the cache form of one evaluated scenario: its

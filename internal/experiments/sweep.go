@@ -332,12 +332,6 @@ func StreamCampaign(opts CampaignOptions, sink results.Sink) ([]string, error) {
 	return violations, nil
 }
 
-// RunSweep evaluates the given campaign slice and checks the paper's
-// never-smaller observation on every config.
-func RunSweep(cfgs []Table1Config, opts Table1Options) (SweepResult, error) {
-	return RunCampaign(CampaignOptions{Table1Options: opts, Configs: cfgs})
-}
-
 // neverSmallerEps tolerates float jitter in the Desc >= Asc comparison.
 const neverSmallerEps = 1e-9
 

@@ -85,7 +85,7 @@ func TestRunSweepSampleShape(t *testing.T) {
 			break
 		}
 	}
-	res, err := RunSweep(cfgs, Table1Options{MeasureStep: 1, AttackerStep: 1})
+	res, err := RunCampaign(CampaignOptions{Table1Options: Table1Options{MeasureStep: 1, AttackerStep: 1}, Configs: cfgs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,6 @@
 //     paper's "Descending is never smaller than Ascending" claim check;
 //   - table2.go: Table II, the LandShark case-study violation
 //     percentages for the three schedules (Section IV-B);
-//   - allschedules.go: the comparison across every schedule permutation
-//     (the claim behind Theorems 2-3 that Ascending/Descending are the
-//     extremes);
 //   - figures.go: ASCII reproductions of Figs. 1-5 with their stated
 //     claims checked programmatically;
 //   - strategies.go: an attacker-strategy ablation on one configuration
@@ -103,11 +100,11 @@ type Table1Options struct {
 	// task (campaign.StreamBatched), amortizing per-task overhead across
 	// cheap items. Every streaming generator honors it — the campaign
 	// sweep and Table I streams (where an item is one PART of a
-	// configuration's evaluation; see table1RunPart), the allschedules
-	// permutation enumeration, the strategies ablation. Results are
-	// byte-identical for every batch size — the per-item seed tree and
-	// the emission order do not change — so Batch is excluded from the
-	// cache digest and the shard-params fingerprint, like Parallel.
+	// configuration's evaluation; see table1RunPart) and the strategies
+	// ablation. Results are byte-identical for every batch size — the
+	// per-item seed tree and the emission order do not change — so Batch
+	// is excluded from the cache digest and the shard-params
+	// fingerprint, like Parallel.
 	Batch int
 	// Seed is the root seed of the engine's deterministic per-task seed
 	// tree. Table I's enumeration is itself deterministic, so Seed only
@@ -219,7 +216,10 @@ type table1Entry struct {
 	Digest    string `json:"digest,omitempty"`
 }
 
-// Table1Run evaluates a single configuration. Accounting is tracked per
+// Table1Run evaluates a single configuration serially. No binary calls
+// it: the generators stream rows through table1Stream, and Table1Run is
+// the serial oracle TestTable1MatchesSerialForAnyWorkerCount holds that
+// stream to. Accounting is tracked per
 // schedule: the Ascending and Descending enumerations must agree on the
 // combination count, and a detector firing under either schedule is a
 // stealth-invariant violation returned as an error, not a counter for

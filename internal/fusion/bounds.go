@@ -32,7 +32,8 @@ func Theorem2Bound(correct []interval.Interval) float64 {
 // bound f and reports whether the fusion width respects the Theorem 2
 // bound computed from the correct intervals alone. It requires
 // f < ceil(n/2); outside that regime the theorem does not apply and the
-// function returns true vacuously.
+// function returns true vacuously. It is a property oracle for the
+// tests; no binary calls it.
 func CheckTheorem2(correct, attacked []interval.Interval, f int) (bool, error) {
 	all := append(append([]interval.Interval(nil), correct...), attacked...)
 	if !IsSafe(len(all), f) {
@@ -54,6 +55,8 @@ func CheckTheorem2(correct, attacked []interval.Interval, f int) (bool, error) {
 //   - f < ceil(n/2): bounded by the width of some interval (not
 //     necessarily correct), so at most the largest width overall;
 //   - otherwise: unbounded (returns +Inf semantics via ok=false).
+//
+// It is a property oracle for the tests; no binary calls it.
 func MarzulloWidthBound(correct, all []interval.Interval, f int) (bound float64, ok bool) {
 	n := len(all)
 	maxW := func(ivs []interval.Interval) float64 {
@@ -83,7 +86,8 @@ func MarzulloWidthBound(correct, all []interval.Interval, f int) (bound float64,
 // feasible for the small n used in the paper (n <= 5).
 //
 // A correct interval of width w containing 0 has center offset in
-// [-w/2, +w/2].
+// [-w/2, +w/2]. It is a property oracle for the tests; no binary calls
+// it.
 func WorstCaseNoAttack(widths []float64, f int, step float64) (float64, error) {
 	n := len(widths)
 	ivs := make([]interval.Interval, n)

@@ -88,82 +88,6 @@ func TestFuseAndDetect(t *testing.T) {
 	}
 }
 
-func TestFuseDiscarding(t *testing.T) {
-	ivs := append(fig1Intervals(), interval.MustNew(100, 140))
-	refused, dropped, err := FuseDiscarding(ivs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 1 || dropped[0] != 5 {
-		t.Fatalf("dropped = %v", dropped)
-	}
-	// After discarding the outlier, f drops to 0 and fusion is the
-	// intersection of the five correct intervals.
-	want, _ := interval.IntersectAll(fig1Intervals()...)
-	if !refused.Equal(want) {
-		t.Fatalf("refused = %v, want %v", refused, want)
-	}
-
-	// Clean input: nothing dropped, fusion unchanged.
-	fused, dropped2, err := FuseDiscarding(fig1Intervals(), 1)
-	if err != nil || dropped2 != nil {
-		t.Fatalf("clean FuseDiscarding dropped %v err %v", dropped2, err)
-	}
-	direct, _ := Fuse(fig1Intervals(), 1)
-	if !fused.Equal(direct) {
-		t.Fatalf("fused = %v, want %v", fused, direct)
-	}
-}
-
-func TestFuseToFixpoint(t *testing.T) {
-	// Two outliers at different distances: the first pass catches the far
-	// one, the second pass (with tightened fusion) catches the near one.
-	ivs := append(fig1Intervals(),
-		interval.MustNew(100, 140),
-		interval.MustNew(9.5, 10.5),
-	)
-	// n=7, f=2: coverage 5 needed.
-	fused, dropped, err := FuseToFixpoint(ivs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) == 0 {
-		t.Fatal("nothing discarded")
-	}
-	for _, d := range dropped {
-		if d < 5 {
-			t.Fatalf("fixpoint discarded a clean interval: %v", dropped)
-		}
-	}
-	// Sorted output.
-	for k := 1; k < len(dropped); k++ {
-		if dropped[k] < dropped[k-1] {
-			t.Fatalf("dropped not sorted: %v", dropped)
-		}
-	}
-	// The surviving fusion matches fusing the clean five directly with
-	// the reduced f.
-	want, err := Fuse(fig1Intervals(), 2-len(dropped))
-	if err == nil && !fused.Equal(want) {
-		t.Logf("fixpoint fused %v vs direct %v (different f accounting is allowed)", fused, want)
-	}
-	if !fused.Valid() {
-		t.Fatal("invalid fused result")
-	}
-
-	// Clean input: no drops, same as plain fusion.
-	direct, _ := Fuse(fig1Intervals(), 1)
-	got, dropped2, err := FuseToFixpoint(fig1Intervals(), 1)
-	if err != nil || len(dropped2) != 0 || !got.Equal(direct) {
-		t.Fatalf("clean fixpoint = %v, %v, %v", got, dropped2, err)
-	}
-
-	// Errors propagate.
-	if _, _, err := FuseToFixpoint(nil, 0); err == nil {
-		t.Fatal("empty input must fail")
-	}
-}
-
 // Detector soundness: with at most f faulty sensors, a correct interval is
 // never discarded (it contains the true value, which is in the fusion
 // interval).

@@ -104,20 +104,3 @@ func SafeFaultBound(n int) int {
 // IsSafe reports whether the fault bound f satisfies the paper's
 // standing assumption f < ceil(n/2).
 func IsSafe(n, f int) bool { return f >= 0 && f < (n+1)/2 }
-
-// Result bundles a fusion computation with the inputs that produced it,
-// for use by the detector and reporting code.
-type Result struct {
-	Inputs []interval.Interval
-	F      int
-	Fused  interval.Interval
-}
-
-// Compute runs Fuse and returns a Result.
-func Compute(ivs []interval.Interval, f int) (Result, error) {
-	s, err := Fuse(ivs, f)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Inputs: append([]interval.Interval(nil), ivs...), F: f, Fused: s}, nil
-}

@@ -339,3 +339,20 @@ func BenchmarkFusePerCall(b *testing.B) {
 		}
 	}
 }
+
+// Result bundles a fusion computation with the inputs that produced it,
+// for use by the detector and reporting code.
+type Result struct {
+	Inputs []interval.Interval
+	F      int
+	Fused  interval.Interval
+}
+
+// Compute runs Fuse and returns a Result.
+func Compute(ivs []interval.Interval, f int) (Result, error) {
+	s, err := Fuse(ivs, f)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Inputs: append([]interval.Interval(nil), ivs...), F: f, Fused: s}, nil
+}

@@ -68,15 +68,6 @@ func (g Grid) At(k int) float64 {
 // Step returns the grid spacing.
 func (g Grid) Step() float64 { return g.step }
 
-// Points materializes all grid points.
-func (g Grid) Points() []float64 {
-	pts := make([]float64, g.count)
-	for k := range pts {
-		pts[k] = g.At(k)
-	}
-	return pts
-}
-
 // Symmetric returns the grid over [-half, +half] with the given step,
 // which is the feasible center-offset range of a correct sensor interval
 // of width 2*half containing the true value at 0.

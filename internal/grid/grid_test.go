@@ -187,3 +187,12 @@ func TestEnumerateScratchReuse(t *testing.T) {
 		t.Fatalf("visited %d", idx)
 	}
 }
+
+// Points materializes all grid points.
+func (g Grid) Points() []float64 {
+	pts := make([]float64, g.count)
+	for k := range pts {
+		pts[k] = g.At(k)
+	}
+	return pts
+}

@@ -48,9 +48,6 @@ func (b *Batch) Reset(k int) {
 	b.n = 0
 }
 
-// K returns the per-candidate interval count.
-func (b *Batch) K() int { return b.k }
-
 // Len returns the number of candidates added since the last Reset.
 func (b *Batch) Len() int { return b.n }
 
@@ -111,10 +108,12 @@ func insertSortedFrom(sorted []float64, from int, x float64) []float64 {
 
 // FuseBatch computes the Marzullo fusion interval of base ∪ candidate
 // for every candidate in b, with fault bound f over the combined
-// n = Len()+b.K() intervals, writing candidate i's result to out[i] and
+// n = Len()+k intervals (k per candidate, set by b.Reset), writing candidate i's result to out[i] and
 // ok[i] (false exactly when FuseWith would report no fusion). out and
 // ok must have length b.Len(). Results are bit-identical to calling
-// FuseWith per candidate; only the constant factors differ.
+// FuseWith per candidate; only the constant factors differ. Production
+// code scores through ScoreBatch; FuseBatch is the FuzzFuseBatch target
+// and the differential oracle that pins the kernels to FuseWith.
 func (s *Sweeper) FuseBatch(b *Batch, f int, out []Interval, ok []bool) {
 	if len(out) != b.n || len(ok) != b.n {
 		panic("interval: FuseBatch output length mismatch")

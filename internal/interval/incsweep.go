@@ -78,8 +78,7 @@ func (s *Sweeper) Len() int { return len(s.los) }
 // keeping the slice sorted. The endpoint sets of this package's hot
 // paths are small (the paper's n is single-digit), so binary search +
 // copy would only add constants; a backward scan is exact and
-// branch-cheap. The attacker's plan search shares it to build the
-// sorted candidate-endpoint slices FuseWithSorted consumes.
+// branch-cheap.
 func InsertSorted(sorted []float64, x float64) []float64 {
 	sorted = append(sorted, x)
 	for i := len(sorted) - 1; i > 0 && sorted[i-1] > x; i-- {
@@ -104,14 +103,6 @@ func (s *Sweeper) FuseWith(extra []Interval, f int) (Interval, bool) {
 		s.extHis = InsertSorted(s.extHis, iv.Hi)
 	}
 	return s.fuseSorted(s.extLos, s.extHis, f)
-}
-
-// FuseWithSorted is FuseWith for callers that already hold the extra
-// endpoints in two ascending-sorted slices — the attacker scores one
-// candidate placement against hundreds of preloaded worlds and sorts
-// the candidate's endpoints once, not once per world.
-func (s *Sweeper) FuseWithSorted(extLos, extHis []float64, f int) (Interval, bool) {
-	return s.fuseSorted(extLos, extHis, f)
 }
 
 // fuseSorted runs the merged two-pointer endpoint scan. Coverage of a

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Interval is a closed real interval [Lo, Hi].
@@ -152,20 +151,6 @@ func HullAll(ivs ...Interval) (Interval, bool) {
 	return acc, true
 }
 
-// PairwiseIntersect reports whether every pair among ivs intersects. Any
-// set of correct intervals must satisfy this (they all contain the true
-// value), so it is a cheap sanity check on generated configurations.
-func PairwiseIntersect(ivs []Interval) bool {
-	for a := 0; a < len(ivs); a++ {
-		for b := a + 1; b < len(ivs); b++ {
-			if !ivs[a].Intersects(ivs[b]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Widths returns the widths of ivs in order.
 func Widths(ivs []Interval) []float64 {
 	ws := make([]float64, len(ivs))
@@ -173,21 +158,4 @@ func Widths(ivs []Interval) []float64 {
 		ws[k] = iv.Width()
 	}
 	return ws
-}
-
-// SortByWidth returns a copy of ivs sorted by ascending width, breaking
-// ties by lower bound, then upper bound, so the order is deterministic.
-func SortByWidth(ivs []Interval) []Interval {
-	out := append([]Interval(nil), ivs...)
-	sort.Slice(out, func(a, b int) bool {
-		wa, wb := out[a].Width(), out[b].Width()
-		if wa != wb {
-			return wa < wb
-		}
-		if out[a].Lo != out[b].Lo {
-			return out[a].Lo < out[b].Lo
-		}
-		return out[a].Hi < out[b].Hi
-	})
-	return out
 }

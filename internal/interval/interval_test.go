@@ -2,6 +2,7 @@ package interval
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -281,3 +282,34 @@ func clampFinite(x float64) float64 {
 }
 
 func quickCfg() *quick.Config { return &quick.Config{MaxCount: 500} }
+
+// PairwiseIntersect reports whether every pair among ivs intersects. Any
+// set of correct intervals must satisfy this (they all contain the true
+// value), so it is a cheap sanity check on generated configurations.
+func PairwiseIntersect(ivs []Interval) bool {
+	for a := 0; a < len(ivs); a++ {
+		for b := a + 1; b < len(ivs); b++ {
+			if !ivs[a].Intersects(ivs[b]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// SortByWidth returns a copy of ivs sorted by ascending width, breaking
+// ties by lower bound, then upper bound, so the order is deterministic.
+func SortByWidth(ivs []Interval) []Interval {
+	out := append([]Interval(nil), ivs...)
+	sort.Slice(out, func(a, b int) bool {
+		wa, wb := out[a].Width(), out[b].Width()
+		if wa != wb {
+			return wa < wb
+		}
+		if out[a].Lo != out[b].Lo {
+			return out[a].Lo < out[b].Lo
+		}
+		return out[a].Hi < out[b].Hi
+	})
+	return out
+}

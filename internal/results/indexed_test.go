@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sensorfusion/internal/chaos"
 )
 
 // writeShard renders the given global indices as one JSONL shard file.
@@ -48,7 +50,7 @@ func TestMergeFilesIndexed(t *testing.T) {
 		writeShard(t, dir, "s0.jsonl", []int{2, 9, 21}),
 	}
 	var got bytes.Buffer
-	stats, err := MergeFilesIndexed(paths, NewJSONL(&got), universe, 4, dir)
+	stats, err := MergeFilesIndexed(chaos.OS, paths, NewJSONL(&got), universe, 4, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,26 +69,26 @@ func TestMergeFilesIndexedErrors(t *testing.T) {
 	// A record whose global index is outside the universe.
 	foreign := writeShard(t, dir, "foreign.jsonl", []int{2, 4})
 	rest := writeShard(t, dir, "rest.jsonl", []int{5, 9})
-	_, err := MergeFilesIndexed([]string{foreign, rest}, NewJSONL(io.Discard), universe, 4, dir)
+	_, err := MergeFilesIndexed(chaos.OS, []string{foreign, rest}, NewJSONL(io.Discard), universe, 4, dir)
 	if err == nil || !strings.Contains(err.Error(), "not in the merge's index set") {
 		t.Fatalf("foreign index error = %v", err)
 	}
 
 	// A duplicated index.
 	dup := writeShard(t, dir, "dup.jsonl", []int{2, 5, 5, 9})
-	if _, err := MergeFilesIndexed([]string{dup}, NewJSONL(io.Discard), universe, 4, dir); err == nil {
+	if _, err := MergeFilesIndexed(chaos.OS, []string{dup}, NewJSONL(io.Discard), universe, 4, dir); err == nil {
 		t.Fatal("duplicate index accepted")
 	}
 
 	// A missing index (short stream).
 	short := writeShard(t, dir, "short.jsonl", []int{2, 5})
-	if _, err := MergeFilesIndexed([]string{short}, NewJSONL(io.Discard), universe, 4, dir); err == nil {
+	if _, err := MergeFilesIndexed(chaos.OS, []string{short}, NewJSONL(io.Discard), universe, 4, dir); err == nil {
 		t.Fatal("missing index accepted")
 	}
 
 	// A non-increasing index set is a caller bug, caught up front.
 	ok := writeShard(t, dir, "ok.jsonl", []int{2, 5, 9})
-	if _, err := MergeFilesIndexed([]string{ok}, NewJSONL(io.Discard), []int{2, 9, 5}, 4, dir); err == nil {
+	if _, err := MergeFilesIndexed(chaos.OS, []string{ok}, NewJSONL(io.Discard), []int{2, 9, 5}, 4, dir); err == nil {
 		t.Fatal("non-increasing universe accepted")
 	}
 
@@ -98,7 +100,7 @@ func TestMergeFilesIndexedErrors(t *testing.T) {
 	if err := os.WriteFile(bad, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = MergeFilesIndexed([]string{bad}, NewJSONL(io.Discard), universe, 4, dir)
+	_, err = MergeFilesIndexed(chaos.OS, []string{bad}, NewJSONL(io.Discard), universe, 4, dir)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%s:2:", bad)) {
 		t.Fatalf("corrupt input error lacks position: %v", err)
 	}
@@ -124,10 +126,10 @@ func TestMergeFilesIndexedMatchesDense(t *testing.T) {
 		paths = append(paths, writeShard(t, dir, fmt.Sprintf("s%d.jsonl", s), indices))
 	}
 	var dense, sparse bytes.Buffer
-	if _, err := MergeFiles(paths, NewJSONL(&dense), n, 5, dir); err != nil {
+	if _, err := MergeFiles(chaos.OS, paths, NewJSONL(&dense), n, 5, dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeFilesIndexed(paths, NewJSONL(&sparse), universe, 5, dir); err != nil {
+	if _, err := MergeFilesIndexed(chaos.OS, paths, NewJSONL(&sparse), universe, 5, dir); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dense.Bytes(), sparse.Bytes()) {

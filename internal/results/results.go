@@ -43,11 +43,11 @@ type Metric struct {
 }
 
 // Record is one typed result of an experiment generator: a Table I row,
-// a Table II schedule column, one campaign configuration, one schedule
-// permutation, one figure, one attacker strategy.
+// a Table II schedule column, one campaign configuration, one figure,
+// one attacker strategy.
 type Record struct {
 	// Kind names the generator: "table1", "table2", "campaign",
-	// "allschedules", "figures", "strategies".
+	// "figures", "strategies".
 	Kind string
 	// Index is the record's position in the generator's deterministic
 	// enumeration. Sharded campaign runs keep the GLOBAL enumeration

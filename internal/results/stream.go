@@ -303,7 +303,8 @@ type MergeStats struct {
 // MergeFiles streams the records of the given files (JSONL, gzipped
 // when named *.gz) through a bounded reorder window into sink, in
 // strictly increasing global index order starting at 0 — byte-identical
-// to the serial stream the shards were cut from. Files are read
+// to the serial stream the shards were cut from. Every file operation
+// (shard reads, spill bucket writes) goes through fsys. Files are read
 // incrementally and round-robin, so when each file is itself
 // index-sorted (as shard files are) the interleaved feed stays close to
 // global order and rarely overflows the window; arbitrary arrival
@@ -313,13 +314,40 @@ type MergeStats struct {
 // records alone, so callers that know the expected count pass
 // expect > 0. window <= 0 merges unbounded in memory; spillDir "" uses
 // a private temp directory. The sink is flushed on success.
-func MergeFiles(paths []string, sink Sink, expect, window int, spillDir string) (MergeStats, error) {
-	return MergeFilesFS(chaos.OS, paths, sink, expect, window, spillDir)
+func MergeFiles(fsys chaos.FS, paths []string, sink Sink, expect, window int, spillDir string) (MergeStats, error) {
+	return mergeFiles(fsys, paths, sink, nil, expect, window, spillDir)
 }
 
-// MergeFilesFS is MergeFiles with every file operation (shard reads,
-// spill bucket writes) routed through an explicit filesystem seam.
-func MergeFilesFS(fsys chaos.FS, paths []string, sink Sink, expect, window int, spillDir string) (MergeStats, error) {
+// MergeFilesIndexed is MergeFiles for a SPARSE global index set: the
+// files must together hold exactly one record per index in indices
+// (strictly increasing, not necessarily contiguous or starting at 0),
+// and the merged stream reaches sink in indices order. Internally every
+// record's global index is translated to its dense position in indices,
+// reordered through the same bounded window MergeFiles uses, and
+// restored before release — so the memory bound, spill path, and
+// fail-fast corruption behavior are identical. A record whose index is
+// not in indices is an error (foreign data in the shard files), as are
+// duplicates and missing indices. This is the merge an incremental
+// update's partial re-run streams through: its shard files cover only
+// the invalidated index set, not [0, total).
+func MergeFilesIndexed(fsys chaos.FS, paths []string, sink Sink, indices []int, window int, spillDir string) (MergeStats, error) {
+	posOf := make(map[int]int, len(indices))
+	last := -1
+	for pos, idx := range indices {
+		if idx <= last {
+			return MergeStats{}, fmt.Errorf("results: merge index set not strictly increasing at %d", idx)
+		}
+		last = idx
+		posOf[idx] = pos
+	}
+	return mergeFiles(fsys, paths, &indexRestoringSink{next: sink, indices: indices}, posOf, len(indices), window, spillDir)
+}
+
+// mergeFiles is the round-robin reader loop behind both merges. A nil
+// posOf means dense indices; otherwise each record's index is replaced
+// by its position in posOf (the reorder window only handles 0..n-1)
+// and a record whose index is absent is foreign data.
+func mergeFiles(fsys chaos.FS, paths []string, sink Sink, posOf map[int]int, expect, window int, spillDir string) (MergeStats, error) {
 	stats := MergeStats{Files: len(paths)}
 	counter := &countingSink{next: sink}
 	reorder := NewReorderWindowFS(counter, 0, window, spillDir, fsys)
@@ -356,6 +384,14 @@ func MergeFilesFS(fsys chaos.FS, paths []string, sink Sink, expect, window int, 
 				reorder.cleanup()
 				return finish(err)
 			}
+			if posOf != nil {
+				pos, ok := posOf[rec.Index]
+				if !ok {
+					reorder.cleanup()
+					return finish(fmt.Errorf("%s:%d: results: record index %d is not in the merge's index set", rd.Name(), rd.Line(), rec.Index))
+				}
+				rec.Index = pos
+			}
 			total++
 			if err := reorder.Write(rec); err != nil {
 				reorder.cleanup()
@@ -368,93 +404,6 @@ func MergeFilesFS(fsys chaos.FS, paths []string, sink Sink, expect, window int, 
 	if expect > 0 && total != expect {
 		reorder.cleanup()
 		return finish(fmt.Errorf("results: merge has %d records, expected %d (missing or extra shard data)", total, expect))
-	}
-	return finish(reorder.Flush())
-}
-
-// MergeFilesIndexed is MergeFiles for a SPARSE global index set: the
-// files must together hold exactly one record per index in indices
-// (strictly increasing, not necessarily contiguous or starting at 0),
-// and the merged stream reaches sink in indices order. Internally every
-// record's global index is translated to its dense position in indices,
-// reordered through the same bounded window MergeFiles uses, and
-// restored before release — so the memory bound, spill path, and
-// fail-fast corruption behavior are identical. A record whose index is
-// not in indices is an error (foreign data in the shard files), as are
-// duplicates and missing indices. This is the merge an incremental
-// update's partial re-run streams through: its shard files cover only
-// the invalidated index set, not [0, total).
-func MergeFilesIndexed(paths []string, sink Sink, indices []int, window int, spillDir string) (MergeStats, error) {
-	return MergeFilesIndexedFS(chaos.OS, paths, sink, indices, window, spillDir)
-}
-
-// MergeFilesIndexedFS is MergeFilesIndexed through an explicit
-// filesystem seam, the variant the coordinator's partial merge and the
-// chaos soak use.
-func MergeFilesIndexedFS(fsys chaos.FS, paths []string, sink Sink, indices []int, window int, spillDir string) (MergeStats, error) {
-	posOf := make(map[int]int, len(indices))
-	last := -1
-	for pos, idx := range indices {
-		if idx <= last {
-			return MergeStats{}, fmt.Errorf("results: merge index set not strictly increasing at %d", idx)
-		}
-		last = idx
-		posOf[idx] = pos
-	}
-	stats := MergeStats{Files: len(paths)}
-	counter := &countingSink{next: &indexRestoringSink{next: sink, indices: indices}}
-	reorder := NewReorderWindowFS(counter, 0, window, spillDir, fsys)
-	finish := func(err error) (MergeStats, error) {
-		stats.Spilled = reorder.Spilled()
-		stats.MaxHeld = reorder.MaxHeld()
-		stats.Records = counter.n
-		return stats, err
-	}
-	readers := make([]*Reader, 0, len(paths))
-	defer func() {
-		for _, rd := range readers {
-			rd.Close()
-		}
-	}()
-	for _, path := range paths {
-		rd, err := NewFileReaderFS(fsys, path)
-		if err != nil {
-			reorder.cleanup()
-			return finish(err)
-		}
-		readers = append(readers, rd)
-	}
-	total := 0
-	for len(readers) > 0 {
-		live := readers[:0]
-		for _, rd := range readers {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				rd.Close()
-				continue
-			}
-			if err != nil {
-				reorder.cleanup()
-				return finish(err)
-			}
-			pos, ok := posOf[rec.Index]
-			if !ok {
-				reorder.cleanup()
-				return finish(fmt.Errorf("%s:%d: results: record index %d is not in the merge's index set", rd.Name(), rd.Line(), rec.Index))
-			}
-			total++
-			rec.Index = pos
-			if err := reorder.Write(rec); err != nil {
-				reorder.cleanup()
-				return finish(err)
-			}
-			live = append(live, rd)
-		}
-		readers = readers[:len(live)]
-	}
-	if total != len(indices) {
-		reorder.cleanup()
-		return finish(fmt.Errorf("results: merge has %d records, expected %d (missing or extra shard data)", total, len(indices)))
 	}
 	return finish(reorder.Flush())
 }

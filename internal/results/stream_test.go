@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sensorfusion/internal/chaos"
 )
 
 // serialJSONL renders records 0..n-1 through a plain JSONL sink — the
@@ -328,7 +330,7 @@ func TestMergeFiles(t *testing.T) {
 	// Reverse argument order: ordering must come from indices.
 	rev := []string{paths[3], paths[1], paths[2], paths[0]}
 	var got bytes.Buffer
-	stats, err := MergeFiles(rev, NewJSONL(&got), n, 6, dir)
+	stats, err := MergeFiles(chaos.OS, rev, NewJSONL(&got), n, 6, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +345,11 @@ func TestMergeFiles(t *testing.T) {
 	}
 
 	// Wrong expected count.
-	if _, err := MergeFiles(rev, NewJSONL(io.Discard), n+1, 6, dir); err == nil {
+	if _, err := MergeFiles(chaos.OS, rev, NewJSONL(io.Discard), n+1, 6, dir); err == nil {
 		t.Fatal("bad expected count accepted")
 	}
 	// A gap (missing shard).
-	if _, err := MergeFiles(paths[:3], NewJSONL(io.Discard), 0, 6, dir); err == nil {
+	if _, err := MergeFiles(chaos.OS, paths[:3], NewJSONL(io.Discard), 0, 6, dir); err == nil {
 		t.Fatal("gapped merge accepted")
 	}
 	// A corrupt mid-file record reports file and line without reading
@@ -362,7 +364,7 @@ func TestMergeFiles(t *testing.T) {
 	if err := os.WriteFile(bad, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = MergeFiles([]string{bad, paths[1], paths[2], paths[3]}, NewJSONL(io.Discard), 0, 6, dir)
+	_, err = MergeFiles(chaos.OS, []string{bad, paths[1], paths[2], paths[3]}, NewJSONL(io.Discard), 0, 6, dir)
 	if err == nil || !strings.Contains(err.Error(), bad+":2:") {
 		t.Fatalf("corrupt merge input error lacks position: %v", err)
 	}
@@ -412,7 +414,7 @@ func BenchmarkBoundedMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			b.ReportAllocs()
 			for k := 0; k < b.N; k++ {
-				if _, err := MergeFiles(paths, NewJSONL(io.Discard), n, window, dir); err != nil {
+				if _, err := MergeFiles(chaos.OS, paths, NewJSONL(io.Discard), n, window, dir); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -200,14 +200,3 @@ func ForKind(k Kind, widths []float64, trusted []bool, order []int, rng *rand.Ra
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadSchedule, int(k))
 	}
 }
-
-// SlotOf returns the slot index at which sensor idx transmits under the
-// given order, or -1 if absent.
-func SlotOf(order []int, idx int) int {
-	for s, v := range order {
-		if v == idx {
-			return s
-		}
-	}
-	return -1
-}

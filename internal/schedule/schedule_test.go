@@ -202,3 +202,14 @@ func TestSlotOf(t *testing.T) {
 		t.Fatalf("SlotOf(missing) = %d", got)
 	}
 }
+
+// SlotOf returns the slot index at which sensor idx transmits under the
+// given order, or -1 if absent.
+func SlotOf(order []int, idx int) int {
+	for s, v := range order {
+		if v == idx {
+			return s
+		}
+	}
+	return -1
+}

@@ -63,14 +63,6 @@ func (s Spec) HalfWidth(value float64) float64 {
 // point (the width is "known and fixed").
 func (s Spec) Width(value float64) float64 { return 2 * s.HalfWidth(value) }
 
-// IntervalFor converts a raw measurement into the sensor's abstract
-// interval: centered at the measurement with the spec's half-width
-// evaluated at the measurement itself.
-func (s Spec) IntervalFor(measurement float64) interval.Interval {
-	h := s.HalfWidth(measurement)
-	return interval.Interval{Lo: measurement - h, Hi: measurement + h}
-}
-
 // Measure draws a bounded-noise measurement of the true value: uniform in
 // [truth-h, truth+h] with h the half-width at the truth. The returned
 // interval is then guaranteed to contain the truth (the sensor is

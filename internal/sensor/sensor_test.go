@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sensorfusion/internal/interval"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -183,4 +185,12 @@ func clampRange(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
+}
+
+// IntervalFor converts a raw measurement into the sensor's abstract
+// interval: centered at the measurement with the spec's half-width
+// evaluated at the measurement itself.
+func (s Spec) IntervalFor(measurement float64) interval.Interval {
+	h := s.HalfWidth(measurement)
+	return interval.Interval{Lo: measurement - h, Hi: measurement + h}
 }

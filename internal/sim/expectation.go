@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"sensorfusion/internal/grid"
 	"sensorfusion/internal/interval"
@@ -81,57 +80,4 @@ func ExpectedWidth(setup Setup, step float64) (Expectation, error) {
 	}
 	exp.Mean /= float64(exp.Count)
 	return exp, nil
-}
-
-// MonteCarloWidth estimates the same expectation by sampling measurement
-// offsets uniformly (continuously) instead of enumerating a grid. It is
-// used for configurations whose exhaustive enumeration is too large and
-// as a convergence cross-check on ExpectedWidth.
-func MonteCarloWidth(setup Setup, rounds int, rng *rand.Rand) (Expectation, error) {
-	if rounds <= 0 {
-		return Expectation{}, fmt.Errorf("sim: rounds=%d", rounds)
-	}
-	if rng == nil {
-		return Expectation{}, fmt.Errorf("sim: nil rng")
-	}
-	simr, err := NewSimulator(setup)
-	if err != nil {
-		return Expectation{}, err
-	}
-	exp := Expectation{Min: math.Inf(1), Max: math.Inf(-1)}
-	correct := make([]interval.Interval, len(setup.Widths))
-	var res RoundResult // reused across rounds (RoundInto contract)
-	for r := 0; r < rounds; r++ {
-		for k, w := range setup.Widths {
-			off := (rng.Float64() - 0.5) * w
-			correct[k] = interval.MustCentered(off, w)
-		}
-		if err := simr.RoundInto(correct, &res); err != nil {
-			return Expectation{}, err
-		}
-		w := res.Fused.Width()
-		exp.Mean += w
-		exp.Count++
-		if w < exp.Min {
-			exp.Min = w
-		}
-		if w > exp.Max {
-			exp.Max = w
-		}
-		if len(res.Suspects) > 0 {
-			exp.Detected++
-		}
-	}
-	exp.Mean /= float64(exp.Count)
-	return exp, nil
-}
-
-// WorstCaseWidth exhaustively searches the discretized measurement space
-// for the largest fusion width — the |S^wc| quantities of Section III-B.
-func WorstCaseWidth(setup Setup, step float64) (float64, error) {
-	exp, err := ExpectedWidth(setup, step)
-	if err != nil {
-		return 0, err
-	}
-	return exp.Max, nil
 }

@@ -1,9 +1,18 @@
-// Package sim wires sensors, the broadcast bus, a communication schedule,
-// the attacker, and Marzullo fusion into complete communication rounds,
-// and provides the two evaluation engines of the paper: exhaustive
-// expectation over a discretized measurement space (the Section IV-A
-// simulations behind Table I) and Monte Carlo simulation (the Section
-// IV-B case-study support runs behind Table II).
+// Package sim wires sensors, a communication schedule, the attacker, and
+// Marzullo fusion into complete communication rounds, and provides the
+// paper's evaluation engine: exhaustive expectation over a discretized
+// measurement space (the Section IV-A simulations behind Table I). The
+// Section IV-B case study behind Table II runs through internal/platoon.
+//
+// A round models the shared broadcast medium of the paper's Section II
+// system (a CAN bus): sensors transmit their intervals in the slots of
+// the schedule, every message is visible to every component connected
+// to the network, and in particular an attacker transmitting in a later
+// slot has seen all earlier messages — the information asymmetry that
+// makes the communication schedule matter (Section IV) and that the
+// Ascending/Descending analysis quantifies. Each sensor transmits at
+// most once per round, and the attacker observes every transmission,
+// her own included, in slot order.
 package sim
 
 import (
@@ -11,7 +20,6 @@ import (
 	"fmt"
 
 	"sensorfusion/internal/attack"
-	"sensorfusion/internal/bus"
 	"sensorfusion/internal/fusion"
 	"sensorfusion/internal/interval"
 	"sensorfusion/internal/schedule"
@@ -70,18 +78,19 @@ type RoundResult struct {
 	Suspects []int
 }
 
-// Simulator executes rounds for a fixed Setup, reusing the bus, the
-// attacker (and hence the strategy's plan cache), the fusion sweeper's
-// buffers, and the round result buffers across rounds: the clean (no
-// attacker) round path performs zero heap allocations per round, pinned
-// by TestRoundCleanPathZeroAllocs. A Simulator is not safe for
-// concurrent use; the campaign engine gives each worker task its own.
+// Simulator executes rounds for a fixed Setup, reusing the attacker (and
+// hence the strategy's plan cache), the fusion sweeper's buffers, the
+// per-round transmitted flags, and the round result buffers across
+// rounds: the clean (no attacker) round path performs zero heap
+// allocations per round, pinned by TestRoundCleanPathZeroAllocs. A
+// Simulator is not safe for concurrent use; the campaign engine gives
+// each worker task its own.
 type Simulator struct {
 	setup    Setup
-	bus      *bus.Bus
 	attacker *attack.Attacker // nil when no targets
 	sweeper  interval.Sweeper // reused endpoint buffers for the round's fusion
 	final    []interval.Interval
+	sent     []bool // per-sensor transmitted flag for the current round
 	suspects []int
 }
 
@@ -90,14 +99,8 @@ func NewSimulator(setup Setup) (*Simulator, error) {
 	if err := setup.validate(); err != nil {
 		return nil, err
 	}
-	b, err := bus.New(len(setup.Widths))
-	if err != nil {
-		return nil, err
-	}
-	// The frame log would grow without bound across an expectation's
-	// enumeration; observers (the attacker) still see every frame.
-	b.DisableLog()
-	s := &Simulator{setup: setup, bus: b, final: make([]interval.Interval, len(setup.Widths))}
+	n := len(setup.Widths)
+	s := &Simulator{setup: setup, final: make([]interval.Interval, n), sent: make([]bool, n)}
 	if len(setup.Targets) > 0 {
 		a, err := attack.New(attack.Config{
 			N:         len(setup.Widths),
@@ -113,9 +116,6 @@ func NewSimulator(setup Setup) (*Simulator, error) {
 			return nil, err
 		}
 		s.attacker = a
-		b.Subscribe(bus.ObserverFunc(func(fr bus.Frame) {
-			a.Observe(fr.Sensor, fr.Iv)
-		}))
 	}
 	return s, nil
 }
@@ -148,7 +148,7 @@ func (s *Simulator) RoundInto(correct []interval.Interval, out *RoundResult) err
 	if len(order) != n {
 		return fmt.Errorf("sim: scheduler produced %d slots for %d sensors", len(order), n)
 	}
-	s.bus.BeginRound()
+	clear(s.sent)
 	if s.attacker != nil {
 		if err := s.attacker.BeginRound(correct); err != nil {
 			return err
@@ -156,6 +156,13 @@ func (s *Simulator) RoundInto(correct []interval.Interval, out *RoundResult) err
 	}
 	final := s.final[:n]
 	for slot, idx := range order {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("sim: scheduler slot %d names unknown sensor %d", slot, idx)
+		}
+		if s.sent[idx] {
+			return fmt.Errorf("sim: sensor %d transmitted twice in one round", idx)
+		}
+		s.sent[idx] = true
 		iv := correct[idx]
 		if s.attacker != nil && s.attacker.Compromised(idx) {
 			var err error
@@ -164,8 +171,11 @@ func (s *Simulator) RoundInto(correct []interval.Interval, out *RoundResult) err
 				return err
 			}
 		}
-		if _, err := s.bus.Transmit(idx, iv); err != nil {
-			return err
+		if !iv.Valid() {
+			return fmt.Errorf("sim: sensor %d sent invalid interval %v", idx, iv)
+		}
+		if s.attacker != nil {
+			s.attacker.Observe(idx, iv)
 		}
 		final[idx] = iv
 	}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -157,6 +159,48 @@ func TestExpectedWidthErrors(t *testing.T) {
 	}
 }
 
+// MonteCarloWidth estimates ExpectedWidth's expectation by sampling
+// measurement offsets uniformly (continuously) instead of enumerating a
+// grid: the convergence oracle the exhaustive engine is checked against.
+func MonteCarloWidth(setup Setup, rounds int, rng *rand.Rand) (Expectation, error) {
+	if rounds <= 0 {
+		return Expectation{}, fmt.Errorf("sim: rounds=%d", rounds)
+	}
+	if rng == nil {
+		return Expectation{}, fmt.Errorf("sim: nil rng")
+	}
+	simr, err := NewSimulator(setup)
+	if err != nil {
+		return Expectation{}, err
+	}
+	exp := Expectation{Min: math.Inf(1), Max: math.Inf(-1)}
+	correct := make([]interval.Interval, len(setup.Widths))
+	var res RoundResult // reused across rounds (RoundInto contract)
+	for r := 0; r < rounds; r++ {
+		for k, w := range setup.Widths {
+			off := (rng.Float64() - 0.5) * w
+			correct[k] = interval.MustCentered(off, w)
+		}
+		if err := simr.RoundInto(correct, &res); err != nil {
+			return Expectation{}, err
+		}
+		w := res.Fused.Width()
+		exp.Mean += w
+		exp.Count++
+		if w < exp.Min {
+			exp.Min = w
+		}
+		if w > exp.Max {
+			exp.Max = w
+		}
+		if len(res.Suspects) > 0 {
+			exp.Detected++
+		}
+	}
+	exp.Mean /= float64(exp.Count)
+	return exp, nil
+}
+
 func TestMonteCarloWidthConvergesToExpected(t *testing.T) {
 	setup := cleanSetup(t, []float64{2, 4, 6}, 1, schedule.Ascending)
 	exact, err := ExpectedWidth(setup, 0.25)
@@ -187,10 +231,11 @@ func TestMonteCarloWidthErrors(t *testing.T) {
 
 func TestWorstCaseWidth(t *testing.T) {
 	setup := cleanSetup(t, []float64{2, 2, 2}, 1, schedule.Ascending)
-	wc, err := WorstCaseWidth(setup, 0.5)
+	exp, err := ExpectedWidth(setup, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wc := exp.Max
 	// Theorem 2 bound: 2 + 2 = 4; must also be at least a single width.
 	if wc < 2 || wc > 4 {
 		t.Fatalf("worst case = %v, want in [2, 4]", wc)
@@ -331,6 +376,129 @@ func TestRoundMatchesFuseAndDetect(t *testing.T) {
 		}
 		if res.Fused != wantIv || !slices.Equal(res.Suspects, wantSus) {
 			t.Fatalf("ivs=%v f=%d: round %v %v, want %v %v", correct, f, res.Fused, res.Suspects, wantIv, wantSus)
+		}
+	}
+}
+
+// The claim the exhaustive schedule ranking used to check, for the
+// paper's {5, 11, 17} example: among all 3! fixed transmission orders,
+// Ascending gives the smallest expected fusion width, and the attacker
+// on the most precise sensor stays undetected under it.
+func TestAscendingIsBestFixedOrder(t *testing.T) {
+	widths := []float64{5, 11, 17}
+	targets, err := attack.ChooseTargets(widths, 1, attack.TargetSmallest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ascending := []int{0, 1, 2} // widths are already ascending
+	best, bestMean := []int(nil), math.Inf(1)
+	var ascExp Expectation
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		sched, err := schedule.NewFixed(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := ExpectedWidth(Setup{Widths: widths, F: 1, Targets: targets, Scheduler: sched,
+			Strategy: attack.NewOptimal(), Step: 1, MaxExact: 600, MCSamples: 160}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp.Mean < bestMean-1e-9 {
+			best, bestMean = order, exp.Mean
+		}
+		if slices.Equal(order, ascending) {
+			ascExp = exp
+		}
+	}
+	if !slices.Equal(best, ascending) {
+		t.Fatalf("best fixed order is %v (mean %.3f), not Ascending (mean %.3f)", best, bestMean, ascExp.Mean)
+	}
+	if ascExp.Detected != 0 {
+		t.Fatalf("attacker detected in %d Ascending rounds", ascExp.Detected)
+	}
+}
+
+// repeatScheduler is a broken Scheduler whose order names sensor 0 twice.
+type repeatScheduler struct{}
+
+func (repeatScheduler) Order() []int { return []int{0, 1, 0} }
+func (repeatScheduler) Name() string { return "repeat" }
+
+// TestRoundRejectsBrokenTransmissions: a sensor may transmit once per
+// round, and only a valid interval.
+func TestRoundRejectsBrokenTransmissions(t *testing.T) {
+	widths := []float64{1, 2, 3}
+	correct := []interval.Interval{interval.MustCentered(0, 1), interval.MustCentered(0, 2), interval.MustCentered(0, 3)}
+	s, err := NewSimulator(Setup{Widths: widths, F: 1, Scheduler: repeatScheduler{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Round(correct); err == nil {
+		t.Error("a sensor transmitting twice in one round must fail")
+	}
+	s, err = NewSimulator(cleanSetup(t, widths, 1, schedule.Ascending))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := slices.Clone(correct)
+	bad[1] = interval.Interval{Lo: 2, Hi: 1}
+	if _, err := s.Round(bad); err == nil {
+		t.Error("an invalid interval must fail")
+	}
+	if _, err := s.Round(correct); err != nil {
+		t.Errorf("a good round after a failed one: %v", err)
+	}
+}
+
+// seenRecorder is an attack.Strategy that records what the attacker has
+// observed when she plans, and then sends her correct reading.
+type seenRecorder struct {
+	seen  [][]interval.Interval
+	delta interval.Interval
+}
+
+func (r *seenRecorder) Plan(ctx attack.Context) []interval.Interval {
+	r.seen = append(r.seen, slices.Clone(ctx.Seen))
+	out := make([]interval.Interval, len(ctx.OwnWidths))
+	for k, w := range ctx.OwnWidths {
+		out[k] = interval.MustCentered(ctx.Delta.Center(), w)
+	}
+	return out
+}
+
+func (r *seenRecorder) Name() string { return "seen-recorder" }
+
+// TestAttackerSeesOnlyEarlierSlots: at her first transmission the
+// attacker has observed exactly the intervals of the earlier slots, in
+// slot order.
+func TestAttackerSeesOnlyEarlierSlots(t *testing.T) {
+	widths := []float64{1, 2, 3, 4}
+	order := []int{3, 1, 0, 2}
+	sched, err := schedule.NewFixed(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &seenRecorder{}
+	s, err := NewSimulator(Setup{Widths: widths, F: 1, Targets: []int{0}, Scheduler: sched, Strategy: rec, Step: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := make([]interval.Interval, len(widths))
+	for k, w := range widths {
+		correct[k] = interval.MustCentered(0.1*float64(k), w)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := s.Round(correct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []interval.Interval{correct[3], correct[1]}
+	if len(rec.seen) != 2 {
+		t.Fatalf("attacker planned %d times in 2 rounds, want 2", len(rec.seen))
+	}
+	for r, got := range rec.seen {
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: attacker had seen %v at her slot, want %v", r, got, want)
 		}
 	}
 }

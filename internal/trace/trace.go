@@ -57,14 +57,6 @@ func FromRound(round int, order []int, ivs []interval.Interval, f int, fused int
 	return r
 }
 
-// IntervalAt returns sensor k's interval.
-func (r Record) IntervalAt(k int) (interval.Interval, error) {
-	if k < 0 || k >= len(r.Intervals) {
-		return interval.Interval{}, fmt.Errorf("trace: sensor %d out of range", k)
-	}
-	return interval.New(r.Intervals[k][0], r.Intervals[k][1])
-}
-
 // FusedInterval returns the recorded fusion interval.
 func (r Record) FusedInterval() (interval.Interval, error) {
 	return interval.New(r.Fused[0], r.Fused[1])

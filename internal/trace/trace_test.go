@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -202,4 +203,12 @@ func TestReplayReproducesFusion(t *testing.T) {
 			t.Fatalf("round %d: replay %v != recorded %v", r.Round, refused, recorded)
 		}
 	}
+}
+
+// IntervalAt returns sensor k's interval.
+func (r Record) IntervalAt(k int) (interval.Interval, error) {
+	if k < 0 || k >= len(r.Intervals) {
+		return interval.Interval{}, fmt.Errorf("trace: sensor %d out of range", k)
+	}
+	return interval.New(r.Intervals[k][0], r.Intervals[k][1])
 }

@@ -47,9 +47,6 @@ func New(maxRate float64) (*Tracker, error) {
 	return &Tracker{maxRate: maxRate}, nil
 }
 
-// Started reports whether the tracker has absorbed at least one round.
-func (t *Tracker) Started() bool { return t.started }
-
 // State returns the current estimate interval (zero value before the
 // first Update).
 func (t *Tracker) State() interval.Interval { return t.state }

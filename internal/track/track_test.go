@@ -23,7 +23,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Started() || tr.Rounds() != 0 {
+	if tr.started || tr.Rounds() != 0 {
 		t.Fatal("fresh tracker state")
 	}
 	if _, ok := tr.Predict(); ok {
@@ -84,7 +84,7 @@ func TestInconsistencyAlarmsAndResets(t *testing.T) {
 	if !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("err = %v, want ErrInconsistent", err)
 	}
-	if tr.Started() {
+	if tr.started {
 		t.Fatal("tracker must reset after the alarm")
 	}
 	// Next update starts fresh.
@@ -100,7 +100,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Reset()
-	if tr.Started() || tr.Rounds() != 0 || tr.Clamps() != 0 {
+	if tr.started || tr.Rounds() != 0 || tr.Clamps() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }

@@ -115,8 +115,8 @@ func (s Scenario) Intervals() []interval.Interval {
 
 // DecodeScenario parses a scenario from its canonical JSON, strictly:
 // unknown fields are errors and the result must Validate. This is the
-// fuzzer's config decoder (and a fuzz target itself — see
-// FuzzDecodeScenario).
+// fuzzer's config decoder and a fuzz target itself (FuzzDecodeScenario);
+// no binary reads scenarios back.
 func DecodeScenario(data []byte) (Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
