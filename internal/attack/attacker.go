@@ -10,9 +10,11 @@ import (
 )
 
 // Attacker drives a Strategy across a communication round: it tracks the
-// correct readings of the compromised sensors, the intervals seen on the
-// bus, and her own already-sent intervals, and produces the interval to
-// transmit at each compromised slot.
+// correct readings of the compromised sensors and the intervals seen on
+// the bus, and produces the interval to transmit at each compromised
+// slot. She plans every unsent sensor of the round at her first slot and
+// replays that plan at the later ones, so no Context she builds carries
+// OwnSent: nothing of hers has been sent when she plans.
 //
 // It is created once per experiment and reset per round. All per-round
 // state lives in buffers reused across rounds, and the planning Context
@@ -30,10 +32,9 @@ type Attacker struct {
 	mcN      int
 
 	// Per-round state, reset by BeginRound.
-	began   bool
-	delta   interval.Interval
-	seen    []interval.Interval
-	ownSent []interval.Interval
+	began bool
+	delta interval.Interval
+	seen  []interval.Interval
 	// The pending block plan: planSensors[k]'s placement is planIvs[k].
 	planSensors []int
 	planIvs     []interval.Interval
@@ -137,7 +138,6 @@ func (a *Attacker) BeginRound(correct []interval.Interval) error {
 	}
 	a.began = true
 	a.seen = a.seen[:0]
-	a.ownSent = a.ownSent[:0]
 	a.planSensors = a.planSensors[:0]
 	a.planIvs = a.planIvs[:0]
 	return nil
@@ -150,18 +150,17 @@ func (a *Attacker) Delta() interval.Interval { return a.delta }
 // Observe records an interval broadcast on the bus. The simulator calls
 // it for every slot in slot order, the attacker's own transmissions
 // included.
-func (a *Attacker) Observe(sensor int, iv interval.Interval) {
+func (a *Attacker) Observe(iv interval.Interval) {
 	a.seen = append(a.seen, iv)
-	if a.targets[sensor] {
-		a.ownSent = append(a.ownSent, iv)
-	}
 }
 
 // Transmit returns the interval the attacker sends for compromised
 // sensor idx, given the slot order remainder: upcoming lists the sensor
 // indices that will transmit after idx, in slot order. The first call of
-// a block plans all her unsent intervals jointly; later calls in the same
-// block replay the plan.
+// a round plans all her unsent intervals jointly; later calls replay the
+// plan. The plan is stealthy for all of them at once, so it assumes
+// upcoming names every later slot of the round, as the simulator passes
+// it.
 func (a *Attacker) Transmit(idx int, upcoming []int) (interval.Interval, error) {
 	if !a.targets[idx] {
 		return interval.Interval{}, fmt.Errorf("%w: sensor %d is not compromised", ErrAttack, idx)
@@ -203,7 +202,6 @@ func (a *Attacker) Transmit(idx int, upcoming []int) (interval.Interval, error) 
 		Sent:         len(a.seen),
 		Delta:        a.delta,
 		OwnWidths:    a.ownW,
-		OwnSent:      a.ownSent,
 		Seen:         a.seen,
 		UnseenWidths: a.unseenW,
 		Step:         a.step,

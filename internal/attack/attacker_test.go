@@ -115,7 +115,7 @@ func TestAttackerActiveLastSlot(t *testing.T) {
 		{1, interval.MustNew(9.9, 10.1)}, // other encoder
 	}
 	for _, s := range seen {
-		a.Observe(s.idx, s.iv)
+		a.Observe(s.iv)
 	}
 	iv, err := a.Transmit(0, nil)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestAttackerPlanReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Observe(0, iv0)
+	a.Observe(iv0)
 	iv1, err := a.Transmit(1, []int{2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestAttackerNeverDetectedRandomized(t *testing.T) {
 			} else {
 				iv = correctIvs[idx]
 			}
-			a.Observe(idx, iv)
+			a.Observe(iv)
 			final[idx] = iv
 		}
 		fused, suspects, err := fusion.FuseAndDetect(final, f)

@@ -52,7 +52,9 @@ type Context struct {
 	// order. The plan covers all of them.
 	OwnWidths []float64
 	// OwnSent are her already-broadcast intervals this round. A new plan
-	// must keep their stealth guarantee intact.
+	// must keep their stealth guarantee intact. The Attacker plans all
+	// her sensors at her first slot, so her contexts leave it empty; it
+	// serves strategies driven with a context of their own.
 	OwnSent []interval.Interval
 	// Seen are all intervals already broadcast this round, in slot order
 	// (includes OwnSent).

@@ -20,13 +20,15 @@ import (
 //     the discretized placement space exactly when small and falling back
 //     to Monte Carlo sampling when large.
 //
-// Plans are cached under a 64-bit FNV-1a hash of the canonicalized,
-// quantized context in an open-addressing table whose values live in one
-// chunked arena (planMemo), so both cache hits AND the steady-state miss
-// path are allocation-free — table and arena growth is the only
-// allocation left, amortized to nothing over a sweep. The search itself
-// is batched: the unseen-completion worlds are enumerated once per
-// context into a flat arena and preloaded into incremental
+// Plans are cached under two independent 64-bit hashes of the
+// canonicalized, quantized context (hashContext) in an open-addressing
+// table whose values live in one chunked arena (planMemo), so both cache
+// hits AND the steady-state miss path are allocation-free — table and
+// arena growth is the only allocation left, amortized to nothing over a
+// sweep. Full-knowledge contexts on a dyadic grid are keyed relative to
+// Delta, so every translated copy of a decision replays one plan. The
+// search itself is batched: the unseen-completion worlds are enumerated
+// once per context into a flat arena and preloaded into incremental
 // interval.Sweepers, every stealthy candidate tuple is packed once into
 // an interval.Batch, and each world scores the whole batch in a single
 // branch-lean ScoreBatch pass — no per-candidate sorting, appending, or
@@ -101,6 +103,8 @@ type Optimal struct {
 	// few times per Optimal.
 	rows []rowState
 	cols []int
+	// out receives a shifted memo hit: the stored plan plus the shift.
+	out []interval.Interval
 }
 
 // NewOptimal returns an Optimal strategy with an empty plan cache.
@@ -115,26 +119,36 @@ const (
 )
 
 // Plan implements Strategy. The returned slice is owned by the strategy
-// (both cache hits and newly inserted plans point into the memo arena,
-// allocation-free) and is only valid until the next Plan call; callers
-// must copy what they retain and must not modify it.
+// and is only valid until the next Plan call; callers must copy what
+// they retain and must not modify it. A miss returns the search's own
+// scratch; a hit on an absolute key returns the memo arena's copy, and a
+// hit on a shifted key writes the stored plan plus the shift into a
+// reused buffer — all allocation-free.
 func (o *Optimal) Plan(ctx Context) []interval.Interval {
 	if err := ctx.Validate(); err != nil {
 		return nil
 	}
+	if o.memo == nil {
+		return o.plan(ctx)
+	}
 	key := o.hashContext(ctx)
-	if o.memo != nil {
-		if cached, ok := o.memo.get(key); ok {
+	if cached, ok := o.memo.get(key.hash, key.confirm); ok {
+		if !key.shifted {
 			return cached
 		}
+		o.out = o.out[:0]
+		for _, iv := range cached {
+			o.out = append(o.out, interval.Interval{Lo: iv.Lo + key.shift, Hi: iv.Hi + key.shift})
+		}
+		return o.out
 	}
 	plan := o.plan(ctx)
 	memoCap := o.MemoCap
 	if memoCap <= 0 {
 		memoCap = defaultMemoCap
 	}
-	if o.memo != nil && o.memo.count < memoCap {
-		plan = o.memo.insert(key, plan)
+	if o.memo.count < memoCap {
+		o.memo.insert(key.hash, key.confirm, plan, key.shift)
 	}
 	return plan
 }
@@ -1005,49 +1019,59 @@ const (
 
 // planMemo is the plan cache: an open-addressing hash table (linear
 // probing, power-of-two sized, ≤3/4 load) whose entries point into one
-// chunked interval arena. Compared to the map[uint64][]Interval it
-// replaced, neither lookups nor inserts allocate — an insert copies the
-// plan into the arena tail and writes one slot — and growth (table
-// doubling, arena chunk-doubling) amortizes to zero allocations per
-// decision. Offsets rather than pointers index the arena, so arena
-// growth relocating the backing array is harmless.
+// chunked interval arena. Neither lookups nor inserts allocate — an
+// insert copies the plan into the arena tail and writes one slot — and
+// growth (table doubling, arena chunk-doubling) amortizes to zero
+// allocations per decision. Offsets rather than pointers index the
+// arena, so arena growth relocating the backing array is harmless.
+//
+// An entry is identified by two independent 64-bit hashes of its
+// context (hashContext): the slot hash picks the probe start, and a hit
+// must match the confirm hash too, so two contexts that collide on one
+// hash still keep their own plans. The key words themselves are not
+// stored: a campaign key runs to about twenty words, so an arena of them
+// would several-fold the bytes per entry to guard against a 2^-128
+// event. Plans are stored relative to the key's shift (see memoKey);
+// the caller adds the shift back.
 type planMemo struct {
 	slots []memoSlot
 	arena []interval.Interval
 	count int
 }
 
-// memoSlot is one table entry; n == 0 marks an empty slot (plans are
-// never empty — Validate rejects contexts with nothing to place).
+// memoSlot is one 24-byte table entry; n == 0 marks an empty slot
+// (plans are never empty — Validate rejects contexts with nothing to
+// place).
 type memoSlot struct {
-	key uint64
-	off uint32
-	n   uint32
+	hash, confirm uint64
+	off, n        uint32
 }
 
-// get returns the cached plan for key, allocation-free.
-func (m *planMemo) get(key uint64) ([]interval.Interval, bool) {
+// get returns the stored (shift-relative) plan for the hash pair,
+// allocation-free. The slice points into the arena and is only valid
+// until the next insert.
+func (m *planMemo) get(hash, confirm uint64) ([]interval.Interval, bool) {
 	if m.count == 0 {
 		return nil, false
 	}
 	mask := uint64(len(m.slots) - 1)
-	for i := key & mask; ; i = (i + 1) & mask {
-		s := m.slots[i]
+	for i := hash & mask; ; i = (i + 1) & mask {
+		s := &m.slots[i]
 		if s.n == 0 {
 			return nil, false
 		}
-		if s.key == key {
+		if s.hash == hash && s.confirm == confirm {
 			return m.arena[s.off : s.off+s.n : s.off+s.n], true
 		}
 	}
 }
 
-// insert copies plan into the arena, records it under key, and returns
-// the arena-backed copy. Steady-state inserts perform zero allocations;
-// growth is amortized doubling.
-func (m *planMemo) insert(key uint64, plan []interval.Interval) []interval.Interval {
+// insert stores plan minus shift in the arena under the hash pair.
+// Steady-state inserts perform zero allocations; growth is amortized
+// doubling.
+func (m *planMemo) insert(hash, confirm uint64, plan []interval.Interval, shift float64) {
 	if len(plan) == 0 {
-		return plan
+		return
 	}
 	if 4*(m.count+1) > 3*len(m.slots) {
 		m.grow()
@@ -1065,17 +1089,18 @@ func (m *planMemo) insert(key uint64, plan []interval.Interval) []interval.Inter
 		copy(na, m.arena)
 		m.arena = na
 	}
-	m.arena = append(m.arena, plan...)
+	for _, iv := range plan {
+		m.arena = append(m.arena, interval.Interval{Lo: iv.Lo - shift, Hi: iv.Hi - shift})
+	}
 	mask := uint64(len(m.slots) - 1)
-	i := key & mask
-	for m.slots[i].n != 0 && m.slots[i].key != key {
+	i := hash & mask
+	for m.slots[i].n != 0 && (m.slots[i].hash != hash || m.slots[i].confirm != confirm) {
 		i = (i + 1) & mask
 	}
 	if m.slots[i].n == 0 {
 		m.count++
 	}
-	m.slots[i] = memoSlot{key: key, off: uint32(off), n: uint32(len(plan))}
-	return m.arena[off : off+len(plan) : off+len(plan)]
+	m.slots[i] = memoSlot{hash: hash, confirm: confirm, off: uint32(off), n: uint32(len(plan))}
 }
 
 // grow doubles the table (or creates the initial one) and rehashes.
@@ -1091,7 +1116,7 @@ func (m *planMemo) grow() {
 		if s.n == 0 {
 			continue
 		}
-		i := s.key & mask
+		i := s.hash & mask
 		for m.slots[i].n != 0 {
 			i = (i + 1) & mask
 		}
@@ -1101,44 +1126,90 @@ func (m *planMemo) grow() {
 
 // --- Context hashing ------------------------------------------------------
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvHash accumulates 64-bit FNV-1a over fixed-width words.
-type fnvHash uint64
-
-func (h *fnvHash) word(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= v & 0xff
-		x *= fnvPrime64
-		v >>= 8
-	}
-	*h = fnvHash(x)
+// memoKey is a context's plan-memo key: the slot hash, the independent
+// confirm hash every hit must also match, and the translation the plan
+// is stored relative to. shifted contexts are keyed and stored relative
+// to shift = Delta.Lo; absolute ones have shift 0.
+type memoKey struct {
+	hash, confirm uint64
+	shift         float64
+	shifted       bool
 }
 
-func (h *fnvHash) int(v int)       { h.word(uint64(int64(v))) }
-func (h *fnvHash) float(v float64) { h.word(math.Float64bits(round6(v))) }
+// memoHash accumulates two independent 64-bit hashes a word at a time:
+// each word folds into both states through a multiply–xorshift step with
+// its own constants (each step is a bijection of the state, so
+// equal-length keys differing in one word never collide), and sum
+// finishes both with a full avalanche, so the slot index can take the
+// low bits even though float words differ mostly in their high bits.
+type memoHash struct{ a, b uint64 }
+
+func newMemoHash() memoHash {
+	return memoHash{a: 0x243f6a8885a308d3, b: 0x13198a2e03707344}
+}
+
+func (h *memoHash) word(v uint64) {
+	a := (h.a ^ v) * 0x9e3779b97f4a7c15
+	b := (h.b + v) * 0xc2b2ae3d27d4eb4f
+	h.a = a ^ a>>32
+	h.b = b ^ b>>29
+}
+
+func (h *memoHash) int(v int)       { h.word(uint64(int64(v))) }
+func (h *memoHash) float(v float64) { h.word(math.Float64bits(round6(v))) }
+
+// sum returns the slot hash and the confirm hash.
+func (h *memoHash) sum() (hash, confirm uint64) { return avalanche(h.a), avalanche(h.b) }
+
+// avalanche is the MurmurHash3 64-bit finalizer.
+func avalanche(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
 
 // hashContext canonicalizes the decision-relevant context fields into a
-// 64-bit key: the same fields, quantization (round6), and Seen/unseen
-// canonical ordering as the old string key, with section markers so
+// memo key. The fields are quantized (round6) with section markers so
 // field boundaries cannot alias. Seen interval order does not affect
 // the optimum, so Seen is sorted (by Lo, then Hi) into a reused scratch
 // before hashing; likewise the unseen widths. The search budgets
 // (MaxExact, MCSamples, and the strategy's own MaxTuples) shape the plan
 // too, so their effective values are part of the key: one Optimal
-// planning the same context under two budgets must not replay the
-// first budget's plan.
-func (o *Optimal) hashContext(ctx Context) uint64 {
-	h := fnvHash(fnvOffset64)
+// planning the same context under two budgets must not replay the first
+// budget's plan.
+//
+// Full-knowledge contexts whose values all pass dyadic are keyed
+// relative to Delta.Lo, so every translated copy of a context shares
+// one entry. Fusion commutes with translation, and for such values every
+// step of the search — candidate grids, critical alignments, stealth
+// checks, fusion widths — is exact float arithmetic, so the plan of the
+// copy shifted by t is the plan shifted by t, bit for bit. Subtracting
+// the shift is exact for such values and round6 is the identity on them,
+// so two contexts share a shifted key exactly when one is a translate of
+// the other. Multi-world
+// contexts keep the absolute key: their world enumeration (truth grid
+// and Monte Carlo seed) is anchored at absolute coordinates. So do
+// continuous-valued contexts and non-dyadic steps such as 0.1. A flag
+// word keeps the two key spaces apart.
+func (o *Optimal) hashContext(ctx Context) memoKey {
+	var k memoKey
+	if len(ctx.UnseenWidths) == 0 && shiftable(ctx) {
+		k.shifted, k.shift = true, ctx.Delta.Lo
+	}
+	h := newMemoHash()
+	if k.shifted {
+		h.word(1)
+	} else {
+		h.word(0)
+	}
 	h.int(ctx.N)
 	h.int(ctx.F)
 	h.int(ctx.Sent)
-	h.float(ctx.Delta.Lo)
-	h.float(ctx.Delta.Hi)
+	h.float(ctx.Delta.Lo - k.shift)
+	h.float(ctx.Delta.Hi - k.shift)
 	h.float(ctx.step())
 	h.int(ctx.maxExact())
 	h.int(ctx.mcSamples())
@@ -1146,13 +1217,13 @@ func (o *Optimal) hashContext(ctx Context) uint64 {
 	o.seenSorted = append(o.seenSorted[:0], ctx.Seen...)
 	sortIntervals(o.seenSorted)
 	for _, s := range o.seenSorted {
-		h.float(s.Lo)
-		h.float(s.Hi)
+		h.float(s.Lo - k.shift)
+		h.float(s.Hi - k.shift)
 	}
 	h.word('#')
 	for _, s := range ctx.OwnSent {
-		h.float(s.Lo)
-		h.float(s.Hi)
+		h.float(s.Lo - k.shift)
+		h.float(s.Hi - k.shift)
 	}
 	h.word('#')
 	for _, w := range ctx.OwnWidths {
@@ -1168,7 +1239,46 @@ func (o *Optimal) hashContext(ctx Context) uint64 {
 	for _, w := range o.uwSorted {
 		h.float(w)
 	}
-	return uint64(h)
+	k.hash, k.confirm = h.sum()
+	return k
+}
+
+// shiftable reports whether every value hashContext keys — Delta, the
+// step, the own widths, and the Seen and OwnSent endpoints — is dyadic.
+func shiftable(ctx Context) bool {
+	if !dyadic(ctx.Delta.Lo) || !dyadic(ctx.Delta.Hi) || !dyadic(ctx.step()) {
+		return false
+	}
+	for _, w := range ctx.OwnWidths {
+		if !dyadic(w) {
+			return false
+		}
+	}
+	for _, s := range ctx.Seen {
+		if !dyadic(s.Lo) || !dyadic(s.Hi) {
+			return false
+		}
+	}
+	for _, s := range ctx.OwnSent {
+		if !dyadic(s.Lo) || !dyadic(s.Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// dyadic reports whether v is a multiple of 2^-6 below 2^20 in
+// magnitude. Sums and differences of such values (and of their halves,
+// the plan search's centers) stay exact far beyond the search's range,
+// and the ulp of every coordinate stays below the search's 1e-9
+// tolerances, so each tolerance comparison decides as its exact
+// counterpart does, at any translation.
+func dyadic(v float64) bool {
+	if !(math.Abs(v) < 1<<20) {
+		return false
+	}
+	x := v * 64
+	return x == float64(int64(x))
 }
 
 // sortIntervals insertion-sorts by (Lo, Hi) — deterministic, and free of

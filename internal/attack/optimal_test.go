@@ -130,6 +130,34 @@ func TestOptimalMemoHitZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("memoized Plan hit allocates %v per call, want 0", allocs)
 	}
+
+	// A shifted hit: a dyadic full-knowledge context keyed relative to
+	// Delta, replayed through a translated copy. The hit adds the shift
+	// back into the strategy's reused output buffer.
+	d := Context{
+		N: 5, F: 2, Sent: 3,
+		Delta:     interval.MustNew(-3, 4),
+		OwnWidths: []float64{14, 14},
+		Seen: []interval.Interval{
+			interval.MustCentered(-1, 20),
+			interval.MustCentered(0.5, 20),
+			interval.MustCentered(-2, 20),
+		},
+		Step: 1,
+	}
+	moved := translate(d, 37.25)
+	o.Plan(d)
+	entries := o.memo.count
+	if plan := o.Plan(moved); len(plan) != 2 || o.memo.count != entries {
+		t.Fatalf("translated copy missed the memo: plan %v, entries %d -> %d", plan, entries, o.memo.count)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if plan := o.Plan(moved); len(plan) != 2 {
+			t.Fatal("shifted memo hit returned a bad plan")
+		}
+	}); allocs != 0 {
+		t.Fatalf("shifted memo hit allocates %v per call, want 0", allocs)
+	}
 }
 
 // TestOptimalUncachedSearchZeroAllocs pins the cache-MISS path at zero
@@ -422,8 +450,8 @@ func TestOptimalMemoKeysSearchBudgets(t *testing.T) {
 		c := exact
 		k0 := o.hashContext(c)
 		tc.mutate(o, &c)
-		if o.hashContext(c) == k0 {
-			t.Errorf("%s does not reach the memo key", tc.name)
+		if k := o.hashContext(c); k.hash == k0.hash || k.confirm == k0.confirm {
+			t.Errorf("%s does not reach both memo hashes", tc.name)
 		}
 	}
 }
@@ -555,4 +583,196 @@ func FuzzOptimalFullKnowledge(f *testing.F) {
 			t.Fatalf("ctx=%+v: row search %v, batched search %v", c, got, want)
 		}
 	})
+}
+
+// randomShiftableContext draws a full-knowledge context whose keyed
+// values are all dyadic (multiples of 1, 1/2, 1/4 or 1/64), placing one
+// or two intervals at a step between 0.25 and 2, sometimes with an
+// OwnSent interval, and sometimes with N-F-1 <= 0 (no stealth
+// obligation). Full knowledge means Sent = N-k >= N-F-k, so these
+// contexts are always Active: the Passive regime needs unseen sensors,
+// which keep the absolute key.
+func randomShiftableContext(rng *rand.Rand) Context {
+	k := 1 + rng.Intn(2)
+	n := k + 1 + rng.Intn(4)
+	f := rng.Intn(n)
+	unit := []float64{1, 0.5, 0.25, 1.0 / 64}[rng.Intn(4)]
+	val := func(span float64) float64 {
+		m := int(span / unit)
+		return unit * float64(rng.Intn(2*m+1)-m)
+	}
+	width := func() float64 { return unit * float64(1+rng.Intn(int(6/unit))) }
+	c := Context{N: n, F: f, Sent: n - k}
+	c.Step = []float64{0.25, 0.5, 0.75, 1, 1.5, 2}[rng.Intn(6)]
+	lo := val(2)
+	c.Delta = interval.Interval{Lo: lo, Hi: lo + val(1)*float64(rng.Intn(2))}
+	if c.Delta.Hi < c.Delta.Lo {
+		c.Delta.Lo, c.Delta.Hi = c.Delta.Hi, c.Delta.Lo
+	}
+	for i := 0; i < k; i++ {
+		c.OwnWidths = append(c.OwnWidths, width())
+	}
+	for i := 0; i < n-k; i++ {
+		lo := val(4)
+		c.Seen = append(c.Seen, interval.Interval{Lo: lo, Hi: lo + width()})
+	}
+	if rng.Intn(3) == 0 {
+		c.OwnSent = []interval.Interval{c.Seen[rng.Intn(n-k)]}
+	}
+	return c
+}
+
+// translate returns c with every coordinate shifted by t.
+func translate(c Context, t float64) Context {
+	c.Delta = interval.Interval{Lo: c.Delta.Lo + t, Hi: c.Delta.Hi + t}
+	shift := func(ivs []interval.Interval) []interval.Interval {
+		out := make([]interval.Interval, len(ivs))
+		for i, iv := range ivs {
+			out[i] = interval.Interval{Lo: iv.Lo + t, Hi: iv.Hi + t}
+		}
+		return out
+	}
+	c.Seen = shift(c.Seen)
+	if c.OwnSent != nil {
+		c.OwnSent = shift(c.OwnSent)
+	}
+	return c
+}
+
+// sameBits reports whether two plans are equal bit for bit.
+func sameBits(a, b []interval.Interval) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Lo) != math.Float64bits(b[i].Lo) ||
+			math.Float64bits(a[i].Hi) != math.Float64bits(b[i].Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkShift is the translation property behind the shift-canonical
+// memo: for a context the predicate admits, the plan of the copy
+// translated by t is the plan translated by t, bit for bit — both when
+// searched fresh (the zero Optimal never caches) and when the copy is a
+// memo hit on the entry the original inserted.
+func checkShift(t *testing.T, c Context, shift float64) {
+	t.Helper()
+	moved := translate(c, shift)
+	var o Optimal
+	if !o.hashContext(c).shifted || !o.hashContext(moved).shifted {
+		t.Fatalf("ctx=%+v (t=%v): dyadic full-knowledge context not shifted", c, shift)
+	}
+	want := append([]interval.Interval(nil), (&Optimal{}).Plan(c)...)
+	for i := range want {
+		want[i].Lo += shift
+		want[i].Hi += shift
+	}
+	if fresh := (&Optimal{}).Plan(moved); !sameBits(fresh, want) {
+		t.Fatalf("ctx=%+v t=%v: fresh plan of the translated copy %v, want %v", c, shift, fresh, want)
+	}
+	memo := NewOptimal()
+	memo.Plan(c)
+	if hit := memo.Plan(moved); !sameBits(hit, want) || memo.memo.count != 1 {
+		t.Fatalf("ctx=%+v t=%v: memo hit %v (entries %d), want %v from 1 entry",
+			c, shift, hit, memo.memo.count, want)
+	}
+}
+
+// TestOptimalShiftCanonicalMemo runs the translation property over a
+// deterministic draw, and pins which contexts stay on the absolute key:
+// any unseen width (the world enumeration is anchored absolutely), a
+// non-dyadic value, or a value at or beyond 2^20.
+func TestOptimalShiftCanonicalMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var pairs, sent int
+	for trial := 0; trial < 1500; trial++ {
+		c := randomShiftableContext(rng)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("fixture: %v", err)
+		}
+		if len(c.OwnWidths) == 2 {
+			pairs++
+		}
+		if len(c.OwnSent) > 0 {
+			sent++
+		}
+		checkShift(t, c, float64(rng.Int63n(1<<24)-1<<23)/64)
+	}
+	if pairs < 500 || sent < 300 {
+		t.Fatalf("draw too narrow: %d two-placement, %d with OwnSent", pairs, sent)
+	}
+
+	c := randomShiftableContext(rand.New(rand.NewSource(7)))
+	var o Optimal
+	for name, mutate := range map[string]func(*Context){
+		"unseen width": func(c *Context) {
+			c.N++
+			c.UnseenWidths = []float64{2}
+		},
+		"non-dyadic Delta": func(c *Context) { c.Delta.Hi += 0.001 },
+		"non-dyadic seen":  func(c *Context) { c.Seen[0].Hi += 1.0 / 128 },
+		"non-dyadic width": func(c *Context) { c.OwnWidths[0] += 0.1 },
+		"non-dyadic step":  func(c *Context) { c.Step = 0.1 },
+		"far coordinate":   func(c *Context) { c.Seen[0].Hi = 1 << 20 },
+	} {
+		m := c
+		m.Seen = append([]interval.Interval(nil), c.Seen...)
+		m.OwnWidths = append([]float64(nil), c.OwnWidths...)
+		mutate(&m)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: fixture: %v", name, err)
+		}
+		if k := o.hashContext(m); k.shifted || k.shift != 0 {
+			t.Errorf("%s: context keyed relative to %v, want the absolute key", name, k.shift)
+		}
+	}
+}
+
+// FuzzOptimalShift drives the translation property on fuzzer-chosen
+// dyadic contexts and translations.
+func FuzzOptimalShift(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 11, 25, 2014} {
+		f.Add(seed, int64(seed*977))
+		f.Add(seed, -int64(seed)<<20)
+	}
+	f.Fuzz(func(t *testing.T, seed, shift int64) {
+		c := randomShiftableContext(rand.New(rand.NewSource(seed)))
+		checkShift(t, c, float64(shift%(1<<23))/64)
+	})
+}
+
+// TestPlanMemoConfirmsEveryHit forces two entries onto one slot hash
+// with different confirm hashes: both must be stored, and each lookup
+// must return its own plan, also after the table grows and rehashes.
+func TestPlanMemoConfirmsEveryHit(t *testing.T) {
+	const hash = 0x5eed
+	a := []interval.Interval{{Lo: 1, Hi: 2}}
+	b := []interval.Interval{{Lo: 3, Hi: 5}, {Lo: 4, Hi: 6}}
+	m := &planMemo{}
+	m.insert(hash, 1, a, 0)
+	if got, ok := m.get(hash, 2); ok {
+		t.Fatalf("slot hash alone hit: %v", got)
+	}
+	m.insert(hash, 2, b, 0.5)
+	if m.count != 2 {
+		t.Fatalf("memo holds %d entries, want 2", m.count)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, ok := m.get(hash, 1); !ok || !sameBits(got, a) {
+			t.Fatalf("%s: get(hash, 1) = %v, %v; want %v", when, got, ok, a)
+		}
+		want := []interval.Interval{{Lo: 2.5, Hi: 4.5}, {Lo: 3.5, Hi: 5.5}}
+		if got, ok := m.get(hash, 2); !ok || !sameBits(got, want) {
+			t.Fatalf("%s: get(hash, 2) = %v, %v; want %v", when, got, ok, want)
+		}
+	}
+	check("before growth")
+	for i := uint64(0); i < 4*memoInitialSlots; i++ {
+		m.insert(hash+(i+1)<<32, i, a, 0) // same low bits: one probe run
+	}
+	check("after growth")
 }

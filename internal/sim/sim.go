@@ -175,7 +175,7 @@ func (s *Simulator) RoundInto(correct []interval.Interval, out *RoundResult) err
 			return fmt.Errorf("sim: sensor %d sent invalid interval %v", idx, iv)
 		}
 		if s.attacker != nil {
-			s.attacker.Observe(idx, iv)
+			s.attacker.Observe(iv)
 		}
 		final[idx] = iv
 	}

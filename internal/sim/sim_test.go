@@ -451,14 +451,16 @@ func TestRoundRejectsBrokenTransmissions(t *testing.T) {
 }
 
 // seenRecorder is an attack.Strategy that records what the attacker has
-// observed when she plans, and then sends her correct reading.
+// observed, and how many of her own intervals she has sent, when she
+// plans, and then sends her correct readings.
 type seenRecorder struct {
-	seen  [][]interval.Interval
-	delta interval.Interval
+	seen    [][]interval.Interval
+	ownSent []int
 }
 
 func (r *seenRecorder) Plan(ctx attack.Context) []interval.Interval {
 	r.seen = append(r.seen, slices.Clone(ctx.Seen))
+	r.ownSent = append(r.ownSent, len(ctx.OwnSent))
 	out := make([]interval.Interval, len(ctx.OwnWidths))
 	for k, w := range ctx.OwnWidths {
 		out[k] = interval.MustCentered(ctx.Delta.Center(), w)
@@ -468,37 +470,55 @@ func (r *seenRecorder) Plan(ctx attack.Context) []interval.Interval {
 
 func (r *seenRecorder) Name() string { return "seen-recorder" }
 
-// TestAttackerSeesOnlyEarlierSlots: at her first transmission the
-// attacker has observed exactly the intervals of the earlier slots, in
+// TestAttackerSeesOnlyEarlierSlots: the attacker plans exactly once per
+// round, at her first slot, for all her sensors — so no plan ever sees
+// an OwnSent interval, even when her slots are not adjacent — and what
+// she has observed then is exactly the earlier slots' intervals, in
 // slot order.
 func TestAttackerSeesOnlyEarlierSlots(t *testing.T) {
-	widths := []float64{1, 2, 3, 4}
-	order := []int{3, 1, 0, 2}
-	sched, err := schedule.NewFixed(order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &seenRecorder{}
-	s, err := NewSimulator(Setup{Widths: widths, F: 1, Targets: []int{0}, Scheduler: sched, Strategy: rec, Step: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := make([]interval.Interval, len(widths))
-	for k, w := range widths {
-		correct[k] = interval.MustCentered(0.1*float64(k), w)
-	}
-	for round := 0; round < 2; round++ {
-		if _, err := s.Round(correct); err != nil {
+	widths := []float64{1, 2, 3, 4, 5}
+	for _, tc := range []struct {
+		order, targets []int
+		before         int // slots ahead of her first one
+	}{
+		{order: []int{3, 1, 0, 2, 4}, targets: []int{0}, before: 2},
+		{order: []int{3, 0, 4, 2, 1}, targets: []int{0, 2}, before: 1},
+	} {
+		sched, err := schedule.NewFixed(tc.order)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want := []interval.Interval{correct[3], correct[1]}
-	if len(rec.seen) != 2 {
-		t.Fatalf("attacker planned %d times in 2 rounds, want 2", len(rec.seen))
-	}
-	for r, got := range rec.seen {
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: attacker had seen %v at her slot, want %v", r, got, want)
+		rec := &seenRecorder{}
+		s, err := NewSimulator(Setup{Widths: widths, F: 2, Targets: tc.targets, Scheduler: sched, Strategy: rec, Step: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rounds = 3
+		var want [][]interval.Interval
+		for round := 0; round < rounds; round++ {
+			correct := make([]interval.Interval, len(widths))
+			for k, w := range widths {
+				correct[k] = interval.MustCentered(0.1*float64(round+k), w)
+			}
+			var earlier []interval.Interval
+			for _, idx := range tc.order[:tc.before] {
+				earlier = append(earlier, correct[idx])
+			}
+			want = append(want, earlier)
+			if _, err := s.Round(correct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rec.seen) != rounds {
+			t.Fatalf("targets %v: attacker planned %d times in %d rounds, want %d", tc.targets, len(rec.seen), rounds, rounds)
+		}
+		for r := range rec.seen {
+			if rec.ownSent[r] != 0 {
+				t.Errorf("targets %v, round %d: plan saw %d OwnSent intervals, want 0", tc.targets, r, rec.ownSent[r])
+			}
+			if !slices.Equal(rec.seen[r], want[r]) {
+				t.Errorf("targets %v, round %d: attacker had seen %v at her first slot, want %v", tc.targets, r, rec.seen[r], want[r])
+			}
 		}
 	}
 }
