@@ -259,10 +259,6 @@ type CoordinatorOptions struct {
 	// shard predicted to finish last into a side file; whichever attempt
 	// validates first publishes. Output bytes are unaffected.
 	Speculate bool
-	// ReCut re-packs the still-pending shards' index sets mid-run when
-	// measured per-index costs say the recorded plan drifted out of
-	// balance. Only meaningful with Balance (it needs cost estimates).
-	ReCut bool
 	// Partial degrades gracefully instead of failing the run: shards
 	// whose attempt budget is spent are recorded in partial.json under
 	// StateDir, the completed shards still merge, and the result reports
@@ -283,28 +279,10 @@ type CoordinatorOptions struct {
 	Log io.Writer
 }
 
-// CoordinateResult summarizes a completed coordinated run.
-type CoordinateResult struct {
-	// Records is the merged record count.
-	Records int
-	// Violations is the paper's never-smaller check re-run over the
-	// full merged set (empty in every run we and the paper observed).
-	Violations []string
-	// SkippedShards counts shards served whole from a previous run.
-	SkippedShards int
-	// Attempts counts worker launches this run performed.
-	Attempts int
-	// Speculated counts duplicate attempts launched by speculation.
-	Speculated int
-	// ReCuts counts mid-run re-partitions of the pending shards.
-	ReCuts int
-	// Partial reports a degraded Partial-mode run: Records covers only
-	// the completed shards and Failed explains the rest (partial.json in
-	// the state directory carries the same account for doctor/resume).
-	Partial bool
-	// Failed lists the terminally failed shards of a partial run.
-	Failed []FailedShard
-}
+// CoordinateResult summarizes a completed coordinated run: merged
+// record count, never-smaller violations, reused shards, worker
+// attempts and speculations, and a partial run's failed shards.
+type CoordinateResult = coordinator.Result
 
 // FailedShard is one terminally failed shard in a partial result (see
 // CoordinateResult.Failed and coordinator.FailedShard).
@@ -413,7 +391,6 @@ func Coordinate(o CoordinatorOptions, sink Sink) (CoordinateResult, error) {
 		MergeWindow:  o.MergeWindow,
 		Seed:         o.Seed,
 		Speculate:    o.Speculate,
-		ReCut:        o.ReCut,
 		Partial:      o.Partial,
 		Run:          o.worker(cacheDir),
 		Sink:         sink,
@@ -437,16 +414,7 @@ func Coordinate(o CoordinatorOptions, sink Sink) (CoordinateResult, error) {
 			return CoordinateResult{}, err
 		}
 	}
-	return CoordinateResult{
-		Records:       res.Records,
-		Violations:    res.Violations,
-		SkippedShards: res.SkippedShards,
-		Attempts:      res.Attempts,
-		Speculated:    res.Speculated,
-		ReCuts:        res.ReCuts,
-		Partial:       res.Partial,
-		Failed:        res.Failed,
-	}, nil
+	return res, nil
 }
 
 // worker builds the per-shard WorkerFunc this configuration dispatches:

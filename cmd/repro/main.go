@@ -10,7 +10,7 @@
 //	repro campaign [-k 0] [-step 1] [-seed 1] [-parallel N] [-batch B] [-format F] [-out FILE] [-shard i/m|SET] [-cache DIR] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
 //	repro strategies [-schedule K] [-parallel N] [-format F] [-out FILE]
 //	repro merge [-format F] [-out FILE] [-expect N] [-window W] [-compress] [-rotate SIZE] shard1.jsonl[.gz] [shard2.jsonl ...]
-//	repro coordinate -state DIR [-workers N] [-shards M] [-resume] [-follow] [-deadline D] [-balance] [-speculate] [-recut] [-partial] [-window W] [-k 0] [-step 1] [-seed 1] [-lengths L1,L2,...] [-format F] [-out FILE] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
+//	repro coordinate -state DIR [-workers N] [-shards M] [-resume] [-follow] [-deadline D] [-balance] [-speculate] [-partial] [-window W] [-k 0] [-step 1] [-seed 1] [-lengths L1,L2,...] [-format F] [-out FILE] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
 //	repro coordinate -state DIR -watch [-interval D]
 //	repro update -state DIR [spec flags: -k -step -seed -lengths] [-workers N] [-format F] [-out FILE]
 //	repro doctor [-state DIR] [-cache DIR]
@@ -85,10 +85,9 @@
 // The coordinator self-heals around failures: attempt failures are
 // classified (transient I/O, straggler, permanently poisoned), transient
 // retries back off exponentially with deterministic seeded jitter, and
-// three opt-in knobs go further. -speculate lets idle workers duplicate
+// two opt-in knobs go further. -speculate lets idle workers duplicate
 // the shard predicted to finish last (first validated attempt wins; the
-// bytes never change). -recut re-packs the still-pending shards when
-// measured costs drift from the plan. -partial degrades gracefully: the
+// bytes never change). -partial degrades gracefully: the
 // completed shards merge, partial.json records what failed and why
 // (doctor reports it as "partial-result"), and a later -resume finishes
 // the campaign.
@@ -465,8 +464,7 @@ func usage() {
             -watch renders lock-free progress from the manifest;
             failures are classified (transient/straggler/poisoned) with
             deterministic seeded retry backoff, -speculate duplicates
-            the predicted-last shard onto idle workers, -recut
-            re-balances pending shards on cost drift, -partial merges
+            the predicted-last shard onto idle workers, -partial merges
             what completed and records the rest in partial.json for a
             later -resume to finish
   update    incremental recompute of a completed coordinate campaign
@@ -954,7 +952,6 @@ func runCoordinate(args []string) error {
 	attempts := fs.Int("attempts", 0, "worker launches allowed per shard before the run fails (0 = 3)")
 	balance := fs.Bool("balance", true, "cost-balanced shards: pack configurations by estimated cost (LPT) and dispatch heaviest-first, shrinking the straggler tail; -balance=false keeps equal-count modular shards")
 	speculate := fs.Bool("speculate", false, "let idle workers duplicate the running shard predicted to finish last into a side file; whichever attempt validates first wins (output bytes unchanged)")
-	recut := fs.Bool("recut", false, "re-pack the still-pending shards' index sets mid-run when measured costs drift from the plan (needs -balance)")
 	partial := fs.Bool("partial", false, "degrade instead of failing: merge the completed shards, record the broken ones in partial.json, and let a later -resume finish the campaign (excludes -follow)")
 	window := fs.Int("window", 4096, "merge reorder window in records; overflow spills to files under -state (0 = unbounded, all in memory)")
 	watch := fs.Bool("watch", false, "read-only status view: render shard progress from the manifest in -state without taking the coordinator lock, then exit (repeats every -interval until done when -interval > 0)")
@@ -998,7 +995,6 @@ func runCoordinate(args []string) error {
 		MaxAttempts:    *attempts,
 		Balance:        *balance,
 		Speculate:      *speculate,
-		ReCut:          *recut,
 		Partial:        *partial,
 		MergeWindow:    *window,
 		WorkerParallel: *wparallel,

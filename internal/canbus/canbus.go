@@ -134,57 +134,3 @@ func RoundTrip(sensor int, seq uint8, iv interval.Interval) (interval.Interval, 
 // MaxWidening returns the worst-case growth of an interval through the
 // codec: lo can drop by up to 1/Scale and width grow by up to 2/Scale.
 func MaxWidening() float64 { return 2.0 / Scale }
-
-// SeqTracker classifies a per-sensor frame stream by its 8-bit sequence
-// counter: consecutive counters are in order, a forward jump of k
-// frames means k-1 frames were lost, a repeat is a duplicate, and a
-// counter behind the newest seen is a late (reordered) delivery. The
-// split point between "far ahead" and "behind" is half the counter
-// space, the standard heuristic for a wrapping uint8 sequence.
-type SeqTracker struct {
-	last    map[int]uint8
-	lost    int
-	reorder int
-	dup     int
-}
-
-// NewSeqTracker returns an empty tracker.
-func NewSeqTracker() *SeqTracker { return &SeqTracker{last: make(map[int]uint8)} }
-
-// Observe folds one decoded frame into the per-sensor accounting and
-// reports how the frame arrived relative to its predecessor: "first",
-// "in-order", "lost" (it implies a gap), "duplicate", or "reordered".
-func (t *SeqTracker) Observe(m Message) string {
-	prev, seen := t.last[m.Sensor]
-	if !seen {
-		t.last[m.Sensor] = m.Seq
-		return "first"
-	}
-	delta := uint8(m.Seq - prev) // wrapping distance forward
-	switch {
-	case delta == 0:
-		t.dup++
-		return "duplicate"
-	case delta == 1:
-		t.last[m.Sensor] = m.Seq
-		return "in-order"
-	case delta < 128:
-		t.lost += int(delta) - 1
-		t.last[m.Sensor] = m.Seq
-		return "lost"
-	default:
-		t.reorder++
-		return "reordered"
-	}
-}
-
-// Lost returns the total count of frames inferred missing from forward
-// sequence gaps.
-func (t *SeqTracker) Lost() int { return t.lost }
-
-// Reordered returns how many frames arrived behind the newest sequence
-// number already seen for their sensor.
-func (t *SeqTracker) Reordered() int { return t.reorder }
-
-// Duplicates returns how many exact sequence repeats were observed.
-func (t *SeqTracker) Duplicates() int { return t.dup }

@@ -193,10 +193,6 @@ type Options struct {
 	// validates first publishes. Output bytes are unaffected (validation
 	// and merge dedup already tolerate duplicate attempts).
 	Speculate bool
-	// ReCut re-packs the still-pending shards' index sets mid-run (a
-	// manifest-only operation) when measured per-index costs say the
-	// recorded plan drifted out of balance. Requires Costs.
-	ReCut bool
 	// Partial degrades gracefully instead of failing the run: shards
 	// whose attempt budget is spent (or that are classified permanent)
 	// are recorded in partial.json, the completed shards still merge,
@@ -208,9 +204,10 @@ type Options struct {
 
 // Result summarizes a completed coordinated run.
 type Result struct {
-	// Records is the merged record count (== Options.Total).
+	// Records is the merged record count (Options.Total unless Partial).
 	Records int
-	// Violations is Check's output over the merged set.
+	// Violations collects CheckRecord's descriptions over the merged
+	// records (the facade runs the paper's never-smaller check).
 	Violations []string
 	// SkippedShards counts shards served complete from a previous run's
 	// files without launching a worker — the resume path's "zero
@@ -220,8 +217,6 @@ type Result struct {
 	Attempts int
 	// Speculated counts duplicate attempts launched by speculation.
 	Speculated int
-	// ReCuts counts mid-run re-partitions of the pending shards.
-	ReCuts int
 	// Partial reports a degraded Partial-mode run: Records covers only
 	// the completed shards, Failed explains the rest, and partial.json
 	// in the state directory carries the same account for doctor/resume.
@@ -332,6 +327,24 @@ func planPartition(total, shards int, costs []float64) [][]int {
 	return out
 }
 
+// globalCosts returns the run's per-GLOBAL-INDEX cost estimates:
+// opts.Costs is position-aligned, so a sparse universe scatters it to
+// global indices (the identity for a full campaign). nil when the run
+// carries no estimates.
+func globalCosts(opts Options) []float64 {
+	if opts.Costs == nil {
+		return nil
+	}
+	if opts.Universe == nil {
+		return opts.Costs
+	}
+	global := make([]float64, opts.Universe[len(opts.Universe)-1]+1)
+	for pos, k := range opts.Universe {
+		global[k] = opts.Costs[pos]
+	}
+	return global
+}
+
 // partitionCost sums each shard's estimated cost (nil costs → zeros).
 func partitionCost(partition [][]int, costs []float64) []float64 {
 	out := make([]float64, len(partition))
@@ -399,7 +412,6 @@ type coord struct {
 	fsys    chaos.FS
 	indices [][]int   // per-shard global index sets (from the manifest)
 	cost    []float64 // per-shard estimated cost
-	idxCost []float64 // per-global-index cost (nil without Costs)
 
 	// mu guards everything below; cond is signaled on every queue or
 	// state transition so idle workers re-evaluate what to run next.
@@ -416,7 +428,6 @@ type coord struct {
 	lastErr    map[int]string         // previous attempt error text, per shard
 	failed     []FailedShard          // terminal failures (Partial mode)
 	speculated int
-	recuts     int
 	closed     bool // no more dispatches: run finished or failed
 
 	cancel context.CancelFunc
@@ -525,14 +536,14 @@ func Coordinate(opts Options) (Result, error) {
 	for i := range man.Shard {
 		c.cost[i] = man.Shard[i].Cost
 	}
-	if c.idxCost = globalCosts(opts); c.idxCost != nil {
+	if idxCost := globalCosts(opts); idxCost != nil {
 		// This run's (possibly measured, possibly re-estimated) per-index
-		// costs override the recorded plan's shard sums; the gap between
-		// the two is exactly the drift ReCut watches for.
+		// costs override the recorded plan's shard sums, so a resumed
+		// run dispatches by the costs it was given.
 		for i := range c.indices {
 			cost := 0.0
 			for _, k := range c.indices[i] {
-				cost += c.idxCost[k]
+				cost += idxCost[k]
 			}
 			c.cost[i] = cost
 		}
@@ -591,7 +602,6 @@ func Coordinate(opts Options) (Result, error) {
 	fatal := c.fatal
 	attempts := c.attempts
 	speculated := c.speculated
-	recuts := c.recuts
 	failed := append([]FailedShard(nil), c.failed...)
 	c.mu.Unlock()
 	if fatal != nil {
@@ -604,7 +614,7 @@ func Coordinate(opts Options) (Result, error) {
 	if len(failed) > 0 {
 		// Partial mode with terminal failures: merge what completed and
 		// account for the rest. (Partial excludes Follow, so no tailer.)
-		return c.finishPartial(checked, failed, skippedShards, attempts, speculated, recuts)
+		return c.finishPartial(checked, failed, skippedShards, attempts, speculated)
 	}
 
 	var merged int
@@ -655,7 +665,7 @@ func Coordinate(opts Options) (Result, error) {
 	c.fsys.Remove(PartialPath(opts.StateDir))
 
 	res := Result{Records: merged, SkippedShards: skippedShards, Attempts: attempts,
-		Speculated: speculated, ReCuts: recuts, Violations: checked.violations}
+		Speculated: speculated, Violations: checked.violations}
 	if err := opts.Sink.Flush(); err != nil {
 		return Result{}, err
 	}
@@ -670,7 +680,7 @@ func Coordinate(opts Options) (Result, error) {
 // Result reports the degradation instead of an error. `repro coordinate
 // -resume` later re-runs exactly the failed shards and, on full
 // success, deletes the report.
-func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped, attempts, speculated, recuts int) (Result, error) {
+func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped, attempts, speculated int) (Result, error) {
 	sort.Slice(failed, func(a, b int) bool { return failed[a].Shard < failed[b].Shard })
 	var paths []string
 	var union, missing []int
@@ -710,7 +720,7 @@ func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped,
 	c.logf("PARTIAL result: %d/%d records merged, %d shards failed terminally (%s); resume to complete the campaign",
 		stats.Records, c.opts.Total, len(failed), PartialPath(c.opts.StateDir))
 	return Result{Records: stats.Records, SkippedShards: skipped, Attempts: attempts,
-		Speculated: speculated, ReCuts: recuts, Partial: true, Failed: failed,
+		Speculated: speculated, Partial: true, Failed: failed,
 		Violations: checked.violations}, nil
 }
 
@@ -1008,10 +1018,9 @@ func (c *coord) runShard(ctx context.Context, i int) {
 }
 
 // completeLocked marks shard i done after a validated attempt (primary
-// or speculative), cancels the racing duplicate if one is in flight,
-// and gives the re-cut check its completion-transition hook. Caller
-// holds c.mu; the returned error is a failed manifest save the caller
-// must escalate via c.fail.
+// or speculative) and cancels the racing duplicate if one is in
+// flight. Caller holds c.mu; the returned error is a failed manifest
+// save the caller must escalate via c.fail.
 func (c *coord) completeLocked(i, n int, elapsed time.Duration, attempt int, how string) error {
 	c.man.Shard[i].State = shardDone
 	c.man.Shard[i].Records = n
@@ -1037,7 +1046,6 @@ func (c *coord) completeLocked(i, n int, elapsed time.Duration, attempt int, how
 	if c.remaining == 0 {
 		c.closed = true
 	}
-	c.maybeRecutLocked()
 	saveErr := c.saveManLocked()
 	c.cond.Broadcast()
 	c.logf("shard %d/%d done: %d records in %v (%s attempt %d, cost %.3g)",

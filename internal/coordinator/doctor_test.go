@@ -9,8 +9,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sensorfusion/internal/chaos"
 	"sensorfusion/internal/results"
@@ -444,6 +446,49 @@ func TestLockOwnerStale(t *testing.T) {
 			t.Fatalf("live owner judged (%v, %v), want live", stale, decidable)
 		}
 	}
+	t.Run("same-host-zombie", func(t *testing.T) {
+		if runtime.GOOS != "linux" {
+			t.Skip("process state is read from /proc")
+		}
+		// A killed but unreaped owner still answers signal 0 and keeps
+		// its start time, yet it holds nothing: the lock is stale.
+		cmd := exec.Command("sleep", "60")
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		pid := cmd.Process.Pid
+		host, _ := os.Hostname()
+		owner := lockOwner{Pid: pid, Host: host, Start: pidStartTime(pid)}
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); procState(pid) != "Z"; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				cmd.Wait()
+				t.Fatalf("killed pid %d never became a zombie (state %q)", pid, procState(pid))
+			}
+		}
+		stale, decidable := owner.stale(host)
+		cmd.Wait()
+		if !stale || !decidable {
+			t.Fatalf("zombie owner judged (%v, %v), want stale", stale, decidable)
+		}
+	})
+}
+
+// procState reads the one-letter state of a Linux process from
+// /proc/<pid>/stat ("" when it cannot be read).
+func procState(pid int) string {
+	data, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	if err != nil {
+		return ""
+	}
+	s := string(data)
+	fields := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
+	if len(fields) == 0 {
+		return ""
+	}
+	return fields[0]
 }
 
 func TestAcquireLockRefusesForeignHost(t *testing.T) {

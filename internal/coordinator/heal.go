@@ -5,21 +5,16 @@ package coordinator
 // transient retries back off exponentially with deterministic seeded
 // jitter, idle workers SPECULATIVELY re-launch the shard predicted to
 // finish last (validation + the merge's dedup already tolerate
-// duplicate attempts), and the still-pending shards are RE-CUT when
-// their measured costs drift from the recorded plan. All of it stays
-// off the record hot path: classification and backoff run only on a
-// failed attempt, speculation and re-cutting only on dispatch and
-// completion transitions.
+// duplicate attempts). All of it stays off the record hot path:
+// classification and backoff run only on a failed attempt, speculation
+// only on dispatch and completion transitions.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"time"
-
-	"sensorfusion/internal/experiments"
 )
 
 // FailClass labels why a shard attempt (or, terminally, a whole shard)
@@ -91,136 +86,6 @@ func retryDelay(base, max time.Duration, seed int64, shard, attempt int) time.Du
 	half := d / 2
 	jitter := time.Duration(splitmix64(uint64(seed)^uint64(shard)<<40^uint64(attempt)<<8) % uint64(half+1))
 	return d - half + jitter
-}
-
-// globalCosts returns the run's per-GLOBAL-INDEX cost estimates:
-// opts.Costs is position-aligned, so a sparse universe scatters it to
-// global indices (the identity for a full campaign). nil when the run
-// carries no estimates.
-func globalCosts(opts Options) []float64 {
-	if opts.Costs == nil {
-		return nil
-	}
-	if opts.Universe == nil {
-		return opts.Costs
-	}
-	global := make([]float64, opts.Universe[len(opts.Universe)-1]+1)
-	for pos, k := range opts.Universe {
-		global[k] = opts.Costs[pos]
-	}
-	return global
-}
-
-// lptPartition packs an arbitrary sparse index set into parts
-// cost-balanced subsets by longest-processing-time-first — the same
-// discipline as planPartition's balanced arm, generalized from
-// [0, total) to any index list. Ties break toward the lower index and
-// lower part, keeping the cut a pure function of its inputs.
-func lptPartition(indices []int, cost func(int) float64, parts int) [][]int {
-	out := make([][]int, parts)
-	order := append([]int(nil), indices...)
-	sort.SliceStable(order, func(a, b int) bool { return cost(order[a]) > cost(order[b]) })
-	load := make([]float64, parts)
-	for _, k := range order {
-		lightest := 0
-		for s := 1; s < parts; s++ {
-			if load[s] < load[lightest] {
-				lightest = s
-			}
-		}
-		out[lightest] = append(out[lightest], k)
-		load[lightest] += cost(k)
-	}
-	for i := range out {
-		sort.Ints(out[i])
-	}
-	return out
-}
-
-// recutImbalance is the drift trigger: the heaviest pending shard must
-// estimate more than this multiple of the pending mean before a re-cut
-// is worth the (cheap, manifest-only) disruption.
-const recutImbalance = 1.5
-
-// maybeRecutLocked re-cuts the still-pending shards' index sets when
-// the measured per-index costs say the recorded plan has drifted out of
-// balance: the union of every pending shard's indices is re-packed by
-// LPT over the same shard slots. Running and done shards are never
-// touched, which is what makes this a manifest-only operation on the
-// dynamic queue — no worker sees its index set change mid-attempt.
-// Caller holds c.mu; the caller's manifest save persists the new cut.
-func (c *coord) maybeRecutLocked() {
-	if !c.opts.ReCut || c.idxCost == nil || c.fatal != nil || len(c.pending) < 2 {
-		return
-	}
-	var maxCost, sum float64
-	for _, p := range c.pending {
-		cost := c.cost[p.shard]
-		sum += cost
-		if cost > maxCost {
-			maxCost = cost
-		}
-	}
-	mean := sum / float64(len(c.pending))
-	if mean <= 0 || maxCost <= recutImbalance*mean {
-		return
-	}
-	slots := make([]int, 0, len(c.pending))
-	for _, p := range c.pending {
-		slots = append(slots, p.shard)
-	}
-	sort.Ints(slots)
-	var union []int
-	for _, s := range slots {
-		union = append(union, c.indices[s]...)
-	}
-	sort.Ints(union)
-	if len(union) < len(slots) {
-		return
-	}
-	parts := lptPartition(union, func(k int) float64 { return c.idxCost[k] }, len(slots))
-	same := true
-	for j, s := range slots {
-		if len(parts[j]) == 0 {
-			// A degenerate cut (zero-cost indices piling into one part)
-			// would strand an empty pending shard; keep the old plan.
-			return
-		}
-		if !equalInts(parts[j], c.indices[s]) {
-			same = false
-		}
-	}
-	if same {
-		return
-	}
-	for j, s := range slots {
-		c.indices[s] = parts[j]
-		cost := 0.0
-		for _, k := range parts[j] {
-			cost += c.idxCost[k]
-		}
-		c.cost[s] = cost
-		c.man.Shard[s].Indices = experiments.FormatIndexSet(parts[j])
-		c.man.Shard[s].Cost = cost
-		c.man.Shard[s].Records = 0
-	}
-	for i := range c.pending {
-		c.pending[i].notBefore = time.Time{}
-	}
-	c.recuts++
-	c.logf("re-cut %d pending shards %v: heaviest estimated %.3g vs pending mean %.3g", len(slots), slots, maxCost, mean)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // pickSpeculationLocked chooses the running shard predicted to finish

@@ -79,37 +79,6 @@ func TestRetryDelay(t *testing.T) {
 	}
 }
 
-func TestLPTPartition(t *testing.T) {
-	// Equal costs round-robin by index order.
-	parts := lptPartition([]int{0, 1, 2, 3, 4, 5}, func(int) float64 { return 1 }, 2)
-	if want := [][]int{{0, 2, 4}, {1, 3, 5}}; !partitionEqual(parts, want) {
-		t.Fatalf("equal costs: got %v, want %v", parts, want)
-	}
-	// One dominant index claims a part to itself.
-	cost := func(k int) float64 {
-		if k == 10 {
-			return 10
-		}
-		return 1
-	}
-	parts = lptPartition([]int{0, 1, 2, 3, 10}, cost, 2)
-	if want := [][]int{{10}, {0, 1, 2, 3}}; !partitionEqual(parts, want) {
-		t.Fatalf("dominant index: got %v, want %v", parts, want)
-	}
-}
-
-func partitionEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !equalInts(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestCoordinateSpeculation: one shard's primary attempt hangs until
 // canceled; the worker that goes idle speculatively duplicates it into
 // a side file, the duplicate validates and publishes, and the merged
@@ -227,11 +196,10 @@ func TestCoordinateLatePrimaryKeepsPublishedShard(t *testing.T) {
 	}
 }
 
-// TestCoordinateReCut: a handcrafted lopsided plan (shard costs 1, 9,
-// 10) is re-balanced mid-run — after the heaviest shard completes, the
-// two pending shards' union is re-packed by measured cost into two
-// even halves — without disturbing the merged output.
-func TestCoordinateReCut(t *testing.T) {
+// TestCoordinateResumeLopsidedPlan: a resumed run keeps the partition
+// its manifest recorded, however lopsided (shard costs 1, 9, 10 here),
+// and still merges exactly the serial bytes.
+func TestCoordinateResumeLopsidedPlan(t *testing.T) {
 	const total, shards = 12, 3
 	opts := baseOptions(t, total, shards)
 	costs := make([]float64, total)
@@ -249,22 +217,24 @@ func TestCoordinateReCut(t *testing.T) {
 	}
 
 	opts.Resume = true
-	opts.ReCut = true
 	opts.Workers = 1 // deterministic dispatch order: heaviest shard first
 	opts.Run = testWorker(total, nil, nil)
 	var buf bytes.Buffer
 	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
+	if _, err := Coordinate(opts); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != serialBytes(t, total) {
-		t.Fatal("re-cut changed the merged bytes")
+		t.Fatal("resuming a lopsided plan changed the merged bytes")
 	}
-	// Shard 2 (cost 10) ran first; the pending pair {1, 9} had max 9 >
-	// 1.5 × mean 5, so exactly one re-cut fired.
-	if res.ReCuts != 1 {
-		t.Fatalf("ReCuts = %d, want 1", res.ReCuts)
+	after, err := loadManifest(opts.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range partition {
+		if got := after.Shard[i].Indices; got != experiments.FormatIndexSet(want) {
+			t.Fatalf("shard %d index set %q, want the recorded %q", i, got, experiments.FormatIndexSet(want))
+		}
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 )
 
 // pidAlive reports whether a process with the given pid currently
-// exists (signal 0 probes existence without delivering anything).
+// runs: signal 0 probes existence without delivering anything, and an
+// exited but unreaped process (a zombie) counts as dead.
 func pidAlive(pid int) bool {
 	proc, err := os.FindProcess(pid)
 	if err != nil {
 		return false
 	}
-	return proc.Signal(syscall.Signal(0)) == nil
+	return proc.Signal(syscall.Signal(0)) == nil && !pidExited(pid)
 }
 
 // hardenWorker ties the worker's lifetime to the coordinator's: on

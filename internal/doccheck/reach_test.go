@@ -45,12 +45,6 @@ var reachAllowlist = map[string]string{
 	"internal/interval.KernelName":           "names the dispatched kernel in the cross-kernel tests",
 	"internal/interval.Interval.ApproxEqual": "float-tolerant comparison of the attack and trace tests",
 	"internal/cache.Store.Puts":              "write counter asserted by the cache and scenario-cache tests",
-	// The receive half of the canbus wire codec; examples/buswire
-	// encodes and decodes frames but does not track sequence numbers yet.
-	"internal/canbus.NewSeqTracker":         "receive-side sequence tracker of the canbus codec",
-	"internal/canbus.SeqTracker.Lost":       "receive-side sequence tracker of the canbus codec",
-	"internal/canbus.SeqTracker.Reordered":  "receive-side sequence tracker of the canbus codec",
-	"internal/canbus.SeqTracker.Duplicates": "receive-side sequence tracker of the canbus codec",
 }
 
 // unreached walks every non-test .go file under root (skipping testdata
