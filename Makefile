@@ -142,10 +142,11 @@ bench-diff:
 scenarios:
 	$(GO) run ./cmd/repro scenarios -steps 25
 
-# Short coverage-guided fuzzing of the five fuzz targets (scenario
+# Short coverage-guided fuzzing of the six fuzz targets (scenario
 # config decoder, results JSONL round-trip, batch fusion equivalence,
-# the full-knowledge row search against the batched plan search, and
-# the plan of a translated context against the translated plan), each
+# the full-knowledge row search against the batched plan search, the
+# plan of a translated context against the translated plan, and the
+# decision-grouped expectation against the round-by-round one), each
 # seeded from a committed corpus. 5s per target keeps CI cheap;
 # raise -fuzztime for a real hunt.
 fuzz-short:
@@ -154,6 +155,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFuseBatch$$' -fuzztime 5s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimalFullKnowledge$$' -fuzztime 5s ./internal/attack/
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimalShift$$' -fuzztime 5s ./internal/attack/
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupedExpectation$$' -fuzztime 5s ./internal/sim/
 
 # Chaos soak: drive the coordinator through seeded deterministic fault
 # schedules (torn/short writes, EIO/ENOSPC, manifest rename/fsync

@@ -25,8 +25,8 @@ type Attacker struct {
 	strategy Strategy
 	n, f     int
 	widths   []float64 // all sensor widths, indexed by sensor
-	targets  map[int]bool
-	ordered  []int // target indices, ascending
+	targets  []bool    // targets[i]: sensor i is compromised
+	ordered  []int     // target indices, ascending
 	step     float64
 	maxExact int
 	mcN      int
@@ -76,7 +76,7 @@ func New(cfg Config) (*Attacker, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("%w: no targets", ErrAttack)
 	}
-	targets := make(map[int]bool, len(cfg.Targets))
+	targets := make([]bool, cfg.N)
 	for _, t := range cfg.Targets {
 		if t < 0 || t >= cfg.N {
 			return nil, fmt.Errorf("%w: target %d out of range", ErrAttack, t)
@@ -112,7 +112,9 @@ func (a *Attacker) Targets() []int {
 }
 
 // Compromised reports whether sensor idx is under the attacker's control.
-func (a *Attacker) Compromised(idx int) bool { return a.targets[idx] }
+func (a *Attacker) Compromised(idx int) bool {
+	return idx >= 0 && idx < len(a.targets) && a.targets[idx]
+}
 
 // BeginRound resets per-round state and records the correct readings of
 // the compromised sensors (the attacker can always read her own sensors
@@ -162,7 +164,7 @@ func (a *Attacker) Observe(iv interval.Interval) {
 // upcoming names every later slot of the round, as the simulator passes
 // it.
 func (a *Attacker) Transmit(idx int, upcoming []int) (interval.Interval, error) {
-	if !a.targets[idx] {
+	if !a.Compromised(idx) {
 		return interval.Interval{}, fmt.Errorf("%w: sensor %d is not compromised", ErrAttack, idx)
 	}
 	if !a.began {

@@ -9,6 +9,13 @@ import (
 // len(ctx.OwnWidths) intervals with the prescribed widths, and must
 // return a stealthy plan (ctx.StealthOK). Returning the correct readings
 // is always a legal fallback.
+//
+// Plan must be a deterministic function of ctx: the same context yields
+// the same plan, bit for bit, whatever was planned before. Caches may
+// only skip work, and any randomness must be seeded from the context
+// (Optimal's Monte Carlo draws are). The simulator relies on this: under
+// a fixed schedule sim.ExpectedWidth plans once per distinct decision
+// and replays that plan for every round that shares it.
 type Strategy interface {
 	// Plan returns placements for ctx.OwnWidths in slot order. The
 	// returned slice (like the Context's slice fields) may be owned by

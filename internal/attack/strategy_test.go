@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math/rand"
 	"testing"
 
 	"sensorfusion/internal/fusion"
@@ -170,6 +171,55 @@ func TestCandidateCentersActiveCoverRange(t *testing.T) {
 	for k := 1; k < len(cands); k++ {
 		if cands[k] <= cands[k-1] {
 			t.Fatalf("candidates not strictly increasing at %d: %v", k, cands)
+		}
+	}
+}
+
+// TestStrategyPlanIsFunctionOfContext pins the Strategy contract that
+// the simulator's grouped expectation relies on: Plan is a deterministic
+// function of its context. Every shipped strategy must return the same
+// plan, bit for bit, for a context it planned before, after unrelated
+// contexts were planned in between — across memo hits on absolute and
+// shifted keys, multi-world contexts and Monte Carlo-sized ones.
+func TestStrategyPlanIsFunctionOfContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var ctxs []Context
+	for i := 0; i < 6; i++ {
+		ctxs = append(ctxs, randomShiftableContext(rng), randomFullKnowledgeContext(rng, i%2 == 0))
+	}
+	multiWorld := Context{
+		N: 5, F: 2, Sent: 2,
+		Delta:        interval.MustNew(-0.5, 0.5),
+		OwnWidths:    []float64{2},
+		Seen:         []interval.Interval{interval.MustNew(-1, 2), interval.MustNew(-3, 1)},
+		UnseenWidths: []float64{3, 4},
+		Step:         1,
+	}
+	monteCarlo := multiWorld
+	monteCarlo.MaxExact, monteCarlo.MCSamples = 2, 40
+	ctxs = append(ctxs, multiWorld, monteCarlo, translate(ctxs[0], 3))
+
+	strategies := []func() Strategy{
+		func() Strategy { return Null{} },
+		func() Strategy { return Greedy{} },
+		func() Strategy { return Greedy{TwoSided: true} },
+		func() Strategy { return NewInformed() },
+		func() Strategy { return NewOptimal() },
+	}
+	for _, mk := range strategies {
+		s := mk()
+		first := make([][]interval.Interval, len(ctxs))
+		for i, c := range ctxs {
+			first[i] = append([]interval.Interval(nil), s.Plan(c)...)
+		}
+		for i := len(ctxs) - 1; i >= 0; i-- {
+			s.Plan(ctxs[(i+1)%len(ctxs)]) // an unrelated call in between
+			if again := s.Plan(ctxs[i]); !sameBits(again, first[i]) {
+				t.Fatalf("%s: context %d planned %v, then %v", s.Name(), i, first[i], again)
+			}
+			if fresh := mk().Plan(ctxs[i]); !sameBits(fresh, first[i]) {
+				t.Fatalf("%s: context %d planned %v after others, %v fresh", s.Name(), i, first[i], fresh)
+			}
 		}
 	}
 }

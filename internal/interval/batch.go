@@ -171,10 +171,16 @@ func (s *Sweeper) fuseBatch(b *Batch, f int, out []Interval, widths []float64, o
 // ensureSentinels (re)builds the sentinel-guarded copies of the base
 // endpoint arrays the batch kernel walks: -Inf, the sorted endpoints,
 // +Inf. Rebuilt lazily after any Preload/Add, so scalar-only users
-// never pay for them.
+// never pay for them. They are sized from the base's capacity, not its
+// length, so they are reallocated only when the base itself grows, not
+// each time a longer base is preloaded into the same buffers.
 func (s *Sweeper) ensureSentinels() {
 	if s.sclean {
 		return
+	}
+	if size := cap(s.los) + 2; cap(s.slos) < size {
+		s.slos = make([]float64, 0, size)
+		s.shis = make([]float64, 0, size)
 	}
 	s.slos = append(s.slos[:0], math.Inf(-1))
 	s.slos = append(s.slos, s.los...)

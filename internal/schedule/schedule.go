@@ -181,6 +181,19 @@ func NewTrustedLast(widths []float64, trusted []bool) (Scheduler, error) {
 	return &widthScheduler{order: order, name: TrustedLast.String()}, nil
 }
 
+// FixedOrder reports whether s replays one order every round, so that
+// a caller may read Order once for a whole enumeration: the Ascending,
+// Descending, TrustedLast and Fixed schedulers. It decides by the
+// scheduler's type, so Random and every Scheduler built outside this
+// package report false.
+func FixedOrder(s Scheduler) bool {
+	switch s.(type) {
+	case *widthScheduler, *fixedScheduler:
+		return true
+	}
+	return false
+}
+
 // ForKind constructs a scheduler of the given kind. Fixed requires a
 // non-nil order; Random requires a non-nil rng; TrustedLast requires
 // trusted flags.

@@ -213,3 +213,27 @@ func SlotOf(order []int, idx int) int {
 	}
 	return -1
 }
+
+// TestFixedOrder pins which schedulers replay one order every round:
+// every kind but Random, and no Scheduler built outside the package,
+// even one whose Order never changes.
+func TestFixedOrder(t *testing.T) {
+	widths := []float64{3, 1, 2}
+	for _, k := range []Kind{Ascending, Descending, Random, Fixed, TrustedLast} {
+		s, err := ForKind(k, widths, []bool{true, false, false}, []int{2, 0, 1}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := FixedOrder(s), k != Random; got != want {
+			t.Errorf("FixedOrder(%v) = %v, want %v", k, got, want)
+		}
+	}
+	if FixedOrder(outsideScheduler{}) {
+		t.Error("FixedOrder of a Scheduler from outside the package = true")
+	}
+}
+
+type outsideScheduler struct{}
+
+func (outsideScheduler) Order() []int { return []int{0, 1, 2} }
+func (outsideScheduler) Name() string { return "outside" }

@@ -13,6 +13,16 @@
 // Ascending/Descending analysis quantifies. Each sensor transmits at
 // most once per round, and the attacker observes every transmission,
 // her own included, in slot order.
+//
+// The expectation engine evaluates the same rounds in one of two ways
+// with the same result. Under a schedule that replays one order
+// (schedule.FixedOrder) it enumerates by attacker decision: she plans
+// her whole block at her first slot from Delta and the prefix sent
+// before it, so the attacker runs once per distinct (Delta, prefix)
+// and each completion of the later correct sensors costs one fusion
+// against the preloaded prefix and plan. Random schedules, clean
+// setups, and any enumeration where regrouping the float sum could
+// change its bits run one full round per combination.
 package sim
 
 import (
