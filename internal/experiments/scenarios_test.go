@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"sensorfusion/internal/cache"
+	"sensorfusion/internal/interval"
 	"sensorfusion/internal/results"
 	"sensorfusion/internal/verdict"
 )
@@ -24,6 +27,31 @@ func scenarioJSONL(t *testing.T, opts ScenarioOptions) []byte {
 		t.Fatalf("flush: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// TestScenarioRecordsGoldenDigest pins the SHA-256 of the scenario
+// record stream on one small fixed sample (all four suites, 200 steps,
+// seed 2014: the same bytes as `repro scenarios -steps 200 -format
+// json`) under every batch kernel. The attacker's plan search scores
+// its placements through those kernels, so a kernel that moved a bit
+// moves this digest. `-update` rewrites it; a change that moves it
+// must say why.
+func TestScenarioRecordsGoldenDigest(t *testing.T) {
+	prev := interval.KernelName()
+	defer func() {
+		if err := interval.SetKernel(prev); err != nil {
+			t.Fatalf("restoring kernel %q: %v", prev, err)
+		}
+	}()
+	for _, kern := range interval.KernelNames() {
+		if err := interval.SetKernel(kern); err != nil {
+			t.Fatal(err)
+		}
+		got := scenarioJSONL(t, ScenarioOptions{Steps: 200, Seed: 2014})
+		t.Run(kern, func(t *testing.T) {
+			goldenCompare(t, "scenarios.jsonl.sha256.golden", fmt.Appendf(nil, "%x\n", sha256.Sum256(got)))
+		})
+	}
 }
 
 // TestScenarioVerdictsAllPass is the paper-claim gate: every criterion
