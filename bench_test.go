@@ -11,7 +11,9 @@
 //   - BenchmarkSweeperFuseBatch / BenchmarkSweeperFuseBatchWide vs
 //     BenchmarkSweeperFuseScalar — the dispatched Marzullo batch kernel
 //     (AVX2 on capable amd64, `make bench-kernels` compares both modes)
-//     against per-candidate scoring, at 64 and 512 candidates.
+//     against per-candidate scoring, at 64 and 512 candidates;
+//     BenchmarkSweeperFuseBatchK1 — the k=1 segment kernel on the
+//     scenario plan search's shape.
 //   - BenchmarkScenarioFaultsStep (internal/experiments) — one step of
 //     the fault-injection scenario generator on its Sweeper hot path.
 //   - BenchmarkAttackOptimalUncached / BenchmarkAttackOptimalCached /
@@ -261,6 +263,39 @@ func BenchmarkSweeperFuseBatchWide(b *testing.B) {
 				b.Fatal("fusion unexpectedly empty")
 			}
 		}
+	}
+}
+
+// BenchmarkSweeperFuseBatchK1 is the scenario plan search's shape: one
+// placement (k=1) scored at 30 candidate centers against a base of 3
+// intervals with f=1, so need-1 = 2 and the segment kernel walks real
+// segments rather than the whole line. 0 allocs/op is part of the
+// contract.
+func BenchmarkSweeperFuseBatchK1(b *testing.B) {
+	var sw interval.Sweeper
+	sw.Preload([]interval.Interval{
+		interval.MustCentered(10.1, 1), interval.MustCentered(9.8, 0.8),
+		interval.MustCentered(10.3, 1.2),
+	})
+	cands := make([][]interval.Interval, 30)
+	for i := range cands {
+		cands[i] = []interval.Interval{interval.MustCentered(9.2+0.04*float64(i), 0.9)}
+	}
+	var batch interval.Batch
+	widths := make([]float64, len(cands))
+	ok := make([]bool, len(cands))
+	run := func() {
+		batch.Reset(1)
+		for _, c := range cands {
+			batch.Add(c)
+		}
+		sw.ScoreBatch(&batch, 1, widths, ok)
+	}
+	run() // warm the batch arrays and the segment tables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -241,8 +241,8 @@ func TestReproRecordPipeline(t *testing.T) {
 
 // TestReproScenarios drives the scenario verdict harness through the
 // real binary: the all-PASS gate, determinism across workers, the
-// record pipeline with a warm cache, suite filtering, mixed-stream
-// format guards, and the armed fuzzer self-test that must FAIL with a
+// record pipeline with a warm cache, profiling, suite filtering,
+// mixed-stream format guards, and the armed fuzzer self-test that must FAIL with a
 // shrunk reproducer.
 func TestReproScenarios(t *testing.T) {
 	bin := buildRepro(t)
@@ -293,6 +293,21 @@ func TestReproScenarios(t *testing.T) {
 	}
 	if readFile(p1) != readFile(p4) {
 		t.Fatal("scenario records differ between -parallel 1 (cold) and 4 (warm)")
+	}
+
+	// Profiling is a diagnostic: it writes non-empty pprof files and
+	// leaves the records alone.
+	cpuProf := filepath.Join(dir, "cpu.prof")
+	memProf := filepath.Join(dir, "mem.prof")
+	prof := filepath.Join(dir, "prof.jsonl")
+	run(false, append([]string{"scenarios", "-parallel", "1", "-cpuprofile", cpuProf, "-memprofile", memProf, "-format", "json", "-out", prof}, common...)...)
+	for _, name := range []string{cpuProf, memProf} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty: %v", name, err)
+		}
+	}
+	if readFile(prof) != readFile(p1) {
+		t.Fatal("scenario records differ between profiled and unprofiled runs")
 	}
 
 	// Suite filtering keeps the full-run records (global indices, seeds).

@@ -42,11 +42,12 @@
 // that scores many candidate placements per call bit-identically to
 // scalar fusion — with a runtime-dispatched kernel (generic, or AVX2
 // assembly for k=2 placements selected by CPU detection;
-// SENSORFUSION_KERNEL or SetKernel overrides); and a plan search whose
+// SENSORFUSION_KERNEL or SetKernel overrides) and, under either, a
+// closed-form segment kernel for single placements; and a plan search whose
 // uncached path allocates nothing (arena-backed
 // memoization and witness precomputation). The cmd/repro subcommands
-// all take -parallel and -seed and inherit the same guarantee; campaign
-// and coordinate also take -cpuprofile/-memprofile (see `make
+// all take -parallel and -seed and inherit the same guarantee; campaign,
+// coordinate and scenarios also take -cpuprofile/-memprofile (see `make
 // profile`).
 //
 // # Streaming results pipeline
