@@ -370,6 +370,45 @@ func BenchmarkAttackOptimalUncached(b *testing.B) {
 }
 func BenchmarkAttackOptimalCached(b *testing.B) { benchStrategy(b, attack.NewOptimal()) }
 
+// BenchmarkAttackOptimalUncachedMultiWorld times a scenario plan miss:
+// the case study's active single-placement decision (n = 4, f = 1, two
+// seen intervals, one unseen, own width 2 over a Delta of width 2),
+// with the exact-enumeration budget lowered so its 80 worlds are Monte
+// Carlo samples. Each call reseeds the sampler, builds the worlds and
+// scores about 30 candidate lanes in each (Sweeper.AccumulateK1). The
+// contexts cycle with the memo capped at one entry, as in
+// BenchmarkAttackOptimalUncached, and one warm-up pass sizes every
+// scratch buffer before the timer starts; bench-diff pins the
+// 0 allocs/op.
+func BenchmarkAttackOptimalUncachedMultiWorld(b *testing.B) {
+	ctxs := make([]attack.Context, 64)
+	for i := range ctxs {
+		t := float64(i) * 0.0137
+		ctxs[i] = attack.Context{
+			N: 4, F: 1, Sent: 2,
+			Delta:        interval.MustNew(0.02+t, 2.02+t),
+			OwnWidths:    []float64{2},
+			Seen:         []interval.Interval{interval.MustNew(1.31+t, 1.71+t), interval.MustNew(1.6-t, 2.0-t)},
+			UnseenWidths: []float64{4},
+			Step:         0.1,
+			MaxExact:     100,
+			MCSamples:    80,
+		}
+	}
+	o := attack.NewOptimal()
+	o.MemoCap = 1
+	for _, ctx := range ctxs {
+		o.Plan(ctx)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if plan := o.Plan(ctxs[i%len(ctxs)]); len(plan) != 1 {
+			b.Fatal("bad plan")
+		}
+	}
+}
+
 // BenchmarkAttackOptimalFullKnowledge times the campaign's dominant
 // decision shape: the Descending schedule's last-slot attacker with
 // n = 5, f = 2, three seen intervals and two of her own to place. Every

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 
 	"sensorfusion/internal/interval"
@@ -158,10 +157,11 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 	if !ok {
 		return fallback
 	}
-	// One world and two placements: the exact row search. It needs
-	// m-1 = N-F-1 >= 1, or the hull of the (m-1)-covered points — its
-	// row bound — would be the whole line.
-	if len(ctx.OwnWidths) == 2 && len(o.eval.sweeps) == 1 && ctx.N-ctx.F-1 > 0 {
+	// Full knowledge (one world) and two placements: the exact row
+	// search. It needs m-1 = N-F-1 >= 1, or the hull of the
+	// (m-1)-covered points — its row bound — would be the whole line.
+	if len(ctx.OwnWidths) == 2 && len(ctx.UnseenWidths) == 0 && ctx.N-ctx.F-1 > 0 {
+		o.eval.init(ctx)
 		return o.searchRows(ctx, cands, fallback)
 	}
 	return o.searchBatched(ctx, cands, fallback)
@@ -170,9 +170,10 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 // prepare runs the per-decision setup both searches share: the fallback
 // plan (correct readings centered on Delta, built into a reused buffer —
 // correctFallback's shape without its allocation), the candidate center
-// sets, the active-mode stealth triage, and the evaluator's worlds. ok
-// is false when no candidate tuple can be stealthy; the decision then
-// collapses to the fallback.
+// sets and the active-mode stealth triage. ok is false when no candidate
+// tuple can be stealthy; the decision then collapses to the fallback.
+// Each search builds the evaluator's worlds itself, once it knows it
+// has something to score.
 func (o *Optimal) prepare(ctx Context) (cands [][]float64, fallback []interval.Interval, ok bool) {
 	c := ctx.Delta.Center()
 	o.fallback = o.fallback[:0]
@@ -196,7 +197,6 @@ func (o *Optimal) prepare(ctx Context) (cands [][]float64, fallback []interval.I
 	if !o.passive && !o.pruneActive(ctx, cands, ctx.N-ctx.F-1) {
 		return nil, fallback, false // some stealth obligation is unsatisfiable
 	}
-	o.eval.init(ctx)
 	k := len(ctx.OwnWidths)
 	if cap(o.placed) < k {
 		o.placed = make([]interval.Interval, k)
@@ -288,7 +288,11 @@ func (o *Optimal) searchBatched(ctx Context, cands [][]float64, fallback []inter
 	// scalar expectedWidth call; the argmax below seeds its baseline from
 	// this lane and never selects it (ties keep the fallback, exactly like
 	// the old strict `s > bestScore` comparison against a prescored
-	// baseline).
+	// baseline). A candidate tuple bit-equal to the fallback scores the
+	// fallback's bits in every world, so it can only tie: it is left out,
+	// and a decision left with the fallback alone builds no worlds at
+	// all (a passive attacker whose width equals Delta's has one
+	// candidate, the fallback itself).
 	fallbackLane := 0
 	if ctx.StealthOK(fallback) {
 		fallbackLane = 1
@@ -300,7 +304,7 @@ func (o *Optimal) searchBatched(ctx Context, cands [][]float64, fallback []inter
 	}
 	for {
 		place(ctx.OwnWidths, cands, idx, placed)
-		if o.stealthy(ctx.Seen, need, placed, idx) {
+		if o.stealthy(ctx.Seen, need, placed, idx) && !(fallbackLane == 1 && slices.Equal(placed, fallback)) {
 			o.batch.Add(placed)
 			o.tuples = append(o.tuples, placed...)
 		}
@@ -321,25 +325,32 @@ func (o *Optimal) searchBatched(ctx Context, cands [][]float64, fallback []inter
 	if nb == fallbackLane {
 		return fallback // no stealthy candidate tuple: nothing to score
 	}
+	e.init(ctx)
 
 	// Score the whole batch world by world. Per tuple, the widths
 	// accumulate in world-enumeration order — exactly the summation
 	// order a per-tuple scalar scoring loop would use, so the scores
 	// (and the plan the argmax selects) are bit-identical to the scalar
 	// search.
+	// Single placements accumulate in place (AccumulateK1 adds the same
+	// widths in the same order).
 	o.sums = resizeFloats(o.sums, nb)
 	o.counts = resizeInts(o.counts, nb)
-	widths, oks := o.scratchScores(nb)
-	for i := 0; i < nb; i++ {
-		o.sums[i] = 0
-		o.counts[i] = 0
-	}
-	for w := range e.sweeps {
-		e.sweeps[w].ScoreBatch(&o.batch, e.f, widths, oks)
-		for i, ok := range oks {
-			if ok {
-				o.sums[i] += widths[i]
-				o.counts[i]++
+	clear(o.sums)
+	clear(o.counts)
+	if k == 1 {
+		for w := range e.sweeps {
+			e.sweeps[w].AccumulateK1(&o.batch, e.f, o.sums, o.counts)
+		}
+	} else {
+		widths, oks := o.scratchScores(nb)
+		for w := range e.sweeps {
+			e.sweeps[w].ScoreBatch(&o.batch, e.f, widths, oks)
+			for i, ok := range oks {
+				if ok {
+					o.sums[i] += widths[i]
+					o.counts[i]++
+				}
 			}
 		}
 	}
@@ -897,6 +908,9 @@ type evaluator struct {
 	// sweeps[w] holds world w's fixed intervals — ctx.Seen plus the
 	// world's completion — presorted for incremental candidate scoring.
 	sweeps []interval.Sweeper
+	// seenLos/seenHis are ctx.Seen's endpoints, sorted once per decision
+	// and copied into every world.
+	seenLos, seenHis []float64
 
 	// Enumeration scratch: the truth grid, and the odometer state of the
 	// exact world enumeration (current center and inclusive limit per
@@ -904,10 +918,10 @@ type evaluator struct {
 	truths  []float64
 	centers []float64
 	limits  []float64
-	// rng backs the Monte Carlo fallback, reseeded per decision — the
-	// same generator and stream rand.New(rand.NewSource(seed)) produced,
-	// without the per-decision allocation.
-	rng *rand.Rand
+	// rng backs the Monte Carlo fallback, reseeded per decision: the
+	// stream rand.New(rand.NewSource(seed)) produces (mcrand.go), without
+	// the per-decision allocation or math/rand's slow reseed.
+	rng mcSource
 }
 
 // init rebuilds the evaluator for one decision context. The enumeration
@@ -971,11 +985,8 @@ func (e *evaluator) init(ctx Context) {
 			}
 		}
 	} else {
-		if e.rng == nil {
-			e.rng = rand.New(rand.NewSource(1))
-		}
 		e.rng.Seed(ctx.rngSeed())
-		rng := e.rng
+		rng := &e.rng
 		for s := 0; s < ctx.mcSamples(); s++ {
 			t := ctx.Delta.Lo + rng.Float64()*ctx.Delta.Width()
 			for _, w := range ctx.UnseenWidths {
@@ -988,17 +999,23 @@ func (e *evaluator) init(ctx Context) {
 }
 
 // prepareSweeps preloads one incremental sweeper per world with that
-// world's fixed intervals (Seen plus the world's unseen completion).
-// Sweeper buffers — including the sentinel arrays the batch kernel
-// rebuilds lazily — are reused across decisions.
+// world's fixed intervals (Seen plus the world's unseen completion):
+// Seen's endpoints are sorted once, and each world copies them and
+// inserts its own. Sweeper buffers — including the tables the batch
+// kernels rebuild lazily — are reused across decisions.
 func (e *evaluator) prepareSweeps(ctx Context, worlds int) {
 	if cap(e.sweeps) < worlds {
 		e.sweeps = append(e.sweeps[:cap(e.sweeps)], make([]interval.Sweeper, worlds-cap(e.sweeps))...)
 	}
 	e.sweeps = e.sweeps[:worlds]
+	e.seenLos, e.seenHis = e.seenLos[:0], e.seenHis[:0]
+	for _, iv := range ctx.Seen {
+		e.seenLos = interval.InsertSorted(e.seenLos, iv.Lo)
+		e.seenHis = interval.InsertSorted(e.seenHis, iv.Hi)
+	}
 	for w := 0; w < worlds; w++ {
 		sw := &e.sweeps[w]
-		sw.Preload(ctx.Seen)
+		sw.PreloadSorted(e.seenLos, e.seenHis)
 		for _, iv := range e.arena[w*e.stride : w*e.stride+e.stride] {
 			sw.Add(iv)
 		}

@@ -34,6 +34,10 @@ type Batch struct {
 	k        int
 	los, his []float64 // stride k+2 segments: -Inf, sorted endpoints, +Inf
 	n        int
+	// For k == 1, recorded by Add for AccumulateK1: lanes ascFrom.. are
+	// ascending in both Lo and Hi, and zero reports a ±0 endpoint.
+	ascFrom int
+	zero    bool
 }
 
 // Reset clears the batch and fixes the per-candidate interval count to
@@ -46,6 +50,8 @@ func (b *Batch) Reset(k int) {
 	b.los = b.los[:0]
 	b.his = b.his[:0]
 	b.n = 0
+	b.ascFrom = 0
+	b.zero = false
 }
 
 // Len returns the number of candidates added since the last Reset.
@@ -65,8 +71,15 @@ func (b *Batch) Add(ivs []Interval) {
 	// compare-and-swap does all the sorting.
 	switch b.k {
 	case 1:
-		b.los = append(b.los, math.Inf(-1), ivs[0].Lo, math.Inf(1))
-		b.his = append(b.his, math.Inf(-1), ivs[0].Hi, math.Inf(1))
+		lo, hi := ivs[0].Lo, ivs[0].Hi
+		if b.n > 0 && (lo < b.los[len(b.los)-2] || hi < b.his[len(b.his)-2]) {
+			b.ascFrom = b.n
+		}
+		if lo == 0 || hi == 0 {
+			b.zero = true
+		}
+		b.los = append(b.los, math.Inf(-1), lo, math.Inf(1))
+		b.his = append(b.his, math.Inf(-1), hi, math.Inf(1))
 		b.n++
 		return
 	case 2:
@@ -185,42 +198,185 @@ func (s *Sweeper) fuseBatch(b *Batch, f int, out []Interval, widths []float64, o
 //	hi = max(max A, min(e_r, p.Hi)) for the last segment with s_r <= p.Hi
 //
 // and fusion exists iff lo <= hi: a few compares per lane instead of a
-// walk over all n endpoints. Like every kernel it only selects
-// endpoints, so the values equal the merge scan's. Equal finite values
-// share their bits except ±0, where the scan's copy order decides which
-// zero is returned; a lane whose lo or hi is zero is re-scored by
-// fuseSorted, FuseWith's own scan, which defines those bits.
+// walk over all n endpoints (k1Lane).
 func (s *Sweeper) fuseLanesK1(b *Batch, f, need int, out []Interval, widths []float64, ok []bool) {
 	s.ensureSegments(need)
-	segs := s.segs
 	for i := 0; i < b.n; i++ {
-		c := i*3 + 1 // stride k+2: -Inf, endpoint, +Inf
-		pLo, pHi := b.los[c], b.his[c]
-		lo, hi := s.aLo, s.aHi
-		j := 0
-		for j < len(segs) && segs[j+1] < pLo {
-			j += 2
-		}
-		if j < len(segs) && segs[j] <= pHi {
-			r := len(segs) - 2
-			for segs[r] > pHi { // stops at j at the latest
-				r -= 2
-			}
-			lo = min(lo, max(segs[j], pLo))
-			hi = max(hi, min(segs[r+1], pHi))
-		}
-		iv, o := Interval{Lo: lo, Hi: hi}, lo <= hi
-		if !o {
-			iv = Interval{}
-		} else if lo == 0 || hi == 0 {
-			iv, o = s.fuseSorted(b.los[c:c+1], b.his[c:c+1], f)
-		}
+		iv, o := s.k1Lane(b, i, f)
 		if out != nil {
 			out[i] = iv
 		} else {
 			widths[i] = iv.Hi - iv.Lo
 		}
 		ok[i] = o
+	}
+}
+
+// k1Lane fuses the base with lane i of the k=1 batch b through the
+// segment tables, which must be current (ensureSegments). Like every
+// kernel it only selects endpoints, so the values equal the merge
+// scan's. Equal finite values share their bits except ±0, where the
+// scan's copy order decides which zero is returned; a lane whose lo or
+// hi is zero is re-scored by fuseSorted, FuseWith's own scan, which
+// defines those bits.
+func (s *Sweeper) k1Lane(b *Batch, i, f int) (Interval, bool) {
+	segs := s.segs
+	c := i*3 + 1 // stride k+2: -Inf, endpoint, +Inf
+	pLo, pHi := b.los[c], b.his[c]
+	lo, hi := s.aLo, s.aHi
+	j := 0
+	for j < len(segs) && segs[j+1] < pLo {
+		j += 2
+	}
+	if j < len(segs) && segs[j] <= pHi {
+		r := len(segs) - 2
+		for segs[r] > pHi { // stops at j at the latest
+			r -= 2
+		}
+		lo = min(lo, max(segs[j], pLo))
+		hi = max(hi, min(segs[r+1], pHi))
+	}
+	if !(lo <= hi) {
+		return Interval{}, false
+	}
+	if lo == 0 || hi == 0 {
+		return s.fuseSorted(b.los[c:c+1], b.his[c:c+1], f)
+	}
+	return Interval{Lo: lo, Hi: hi}, true
+}
+
+// AccumulateK1 scores every lane of the k=1 batch b against the base
+// with fault bound f, as ScoreBatch does, and adds each fusing lane's
+// width to sums[i] and one to counts[i]; lanes that do not fuse are
+// left alone. sums and counts must have length b.Len(). Calling it once
+// per world accumulates exactly the sums ScoreBatch plus an in-order
+// add loop would, bit for bit.
+//
+// It is the plan search's multi-world k=1 entry point, and the common
+// case costs little more than the adds. When S (see fuseLanesK1) is
+// one segment [s0, e0] and no table value or lane endpoint is ±0, the
+// lanes Add recorded as ascending (Batch.ascFrom on) split into runs
+// that each take one branch-free loop: S ∩ p is nonempty for a
+// contiguous range of them, outside which every lane fuses to A's hull;
+// inside it lo = min(aLo, max(s0, p.Lo)) is s0, then p.Lo, then aLo as
+// p.Lo passes s0 and aLo (s0 <= aLo, since A ⊆ S), and hi = max(aHi,
+// min(e0, p.Hi)) is aHi, then p.Hi, then e0 as p.Hi passes aHi and e0.
+// Every value a run selects is the one k1Lane selects (ties between
+// equal nonzero values are the same bits), and its width is the same
+// subtraction. Every other lane — the unordered prefix, a multi-segment
+// S, any ±0 — takes k1Lane.
+func (s *Sweeper) AccumulateK1(b *Batch, f int, sums []float64, counts []int) {
+	if b.k != 1 {
+		panic("interval: AccumulateK1 needs a k=1 batch")
+	}
+	if len(sums) != b.n || len(counts) != b.n {
+		panic("interval: AccumulateK1 output length mismatch")
+	}
+	need := len(s.los) + 1 - f
+	if f < 0 || need <= 0 {
+		return
+	}
+	s.ensureSegments(need)
+	runs := b.n // lanes runs.. are scored by runs
+	if len(s.segs) == 2 && !b.zero && s.aLo != 0 && s.aHi != 0 && s.segs[0] != 0 && s.segs[1] != 0 {
+		runs = b.ascFrom
+	}
+	for i := 0; i < runs; i++ {
+		if iv, ok := s.k1Lane(b, i, f); ok {
+			sums[i] += iv.Hi - iv.Lo
+			counts[i]++
+		}
+	}
+	if runs == b.n {
+		return
+	}
+	s0, e0, aLo, aHi := s.segs[0], s.segs[1], s.aLo, s.aHi
+	los, his := b.los[1:], b.his[1:] // lane i's endpoints at 3i
+	// The breakpoints, found by walking the ascending lanes: S ∩ p is
+	// nonempty on [iA, iB); there lo is s0 before l1, p.Lo before l2 and
+	// aLo after, and hi is aHi before h1, p.Hi before h2 and e0 after.
+	// min(aLo, e0) keeps l2 inside [iA, iB) when A is empty (aLo = +Inf).
+	n := b.n
+	i := runs
+	for i < n && his[3*i] < s0 {
+		i++
+	}
+	iA := i
+	for i < n && los[3*i] <= s0 {
+		i++
+	}
+	l1 := i
+	aLoE := min(aLo, e0)
+	for i < n && los[3*i] <= aLoE {
+		i++
+	}
+	l2 := i
+	for i < n && los[3*i] <= e0 {
+		i++
+	}
+	iB := i
+	i = iA
+	for i < iB && his[3*i] <= aHi {
+		i++
+	}
+	h1 := i
+	for i < iB && his[3*i] <= e0 {
+		i++
+	}
+	h2 := i
+	if aLo <= aHi { // A nonempty: lanes missing S fuse to A's hull
+		addConst(sums, counts, runs, iA, aHi-aLo)
+		addConst(sums, counts, iB, n, aHi-aLo)
+	}
+	for i := iA; i < iB; {
+		j := iB
+		for _, x := range [4]int{l1, l2, h1, h2} {
+			if x > i && x < j {
+				j = x
+			}
+		}
+		lo, loLane := aLo, false
+		switch {
+		case i < l1:
+			lo = s0
+		case i < l2:
+			loLane = true
+		}
+		hi, hiLane := e0, false
+		switch {
+		case i < h1:
+			hi = aHi
+		case i < h2:
+			hiLane = true
+		}
+		switch {
+		case loLane && hiLane:
+			for ; i < j; i++ {
+				sums[i] += his[3*i] - los[3*i]
+				counts[i]++
+			}
+		case loLane:
+			for ; i < j; i++ {
+				sums[i] += hi - los[3*i]
+				counts[i]++
+			}
+		case hiLane:
+			for ; i < j; i++ {
+				sums[i] += his[3*i] - lo
+				counts[i]++
+			}
+		default:
+			addConst(sums, counts, i, j, hi-lo)
+			i = j
+		}
+	}
+}
+
+// addConst adds w to sums[i:j] and one to counts[i:j].
+func addConst(sums []float64, counts []int, i, j int, w float64) {
+	for ; i < j; i++ {
+		sums[i] += w
+		counts[i]++
 	}
 }
 
