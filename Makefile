@@ -142,10 +142,11 @@ bench-diff:
 scenarios:
 	$(GO) run ./cmd/repro scenarios -steps 25
 
-# Short coverage-guided fuzzing of the six fuzz targets (scenario
+# Short coverage-guided fuzzing of the seven fuzz targets (scenario
 # config decoder, results JSONL round-trip, batch fusion equivalence,
-# the full-knowledge row search against the batched plan search, the
-# plan of a translated context against the translated plan, and the
+# the run-scored k=1 accumulation against per-world batch scoring, the
+# full-knowledge row search against the batched plan search, the plan
+# of a translated context against the translated plan, and the
 # decision-grouped expectation against the round-by-round one), each
 # seeded from a committed corpus. 5s per target keeps CI cheap;
 # raise -fuzztime for a real hunt.
@@ -153,6 +154,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 5s ./internal/verdict/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 5s ./internal/results/
 	$(GO) test -run '^$$' -fuzz '^FuzzFuseBatch$$' -fuzztime 5s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz '^FuzzScoreK1Runs$$' -fuzztime 5s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimalFullKnowledge$$' -fuzztime 5s ./internal/attack/
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimalShift$$' -fuzztime 5s ./internal/attack/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedExpectation$$' -fuzztime 5s ./internal/sim/

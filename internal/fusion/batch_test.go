@@ -1,9 +1,11 @@
 package fusion
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sensorfusion/internal/interval"
@@ -407,5 +409,242 @@ func FuzzFuseBatch(f *testing.F) {
 		var sw interval.Sweeper
 		sw.Preload(base)
 		checkBatchAgainstReference(t, &sw, base, cands, k, fb)
+	})
+}
+
+// TestFuseBatchK2SignedZeroAVX2Regression is the ±0 case on which the
+// AVX2 k=2 kernel once returned Hi = -0 where the scalar scan returns
+// +0: every kernel must return FuseWith's bits.
+func TestFuseBatchK2SignedZeroAVX2Regression(t *testing.T) {
+	iv := interval.MustNew
+	negz := math.Copysign(0, -1)
+	base := []interval.Interval{iv(-1, 0), iv(negz, 1), iv(1, 1), iv(-1, negz), iv(-1, negz)}
+	lane := []interval.Interval{iv(0, 1), iv(negz, 0)}
+	var sw interval.Sweeper
+	sw.Preload(base)
+	checkBatchAgainstReference(t, &sw, base, [][]interval.Interval{lane, lane, lane, lane}, 2, 1)
+}
+
+// checkAccumulateK1 scores the k=1 lanes in every world through
+// AccumulateK1, under every kernel, and requires the sums and counts,
+// bit for bit, that per-world ScoreBatch calls with an in-order add
+// loop produce; it also holds each ScoreBatch width to FuseWith's. The
+// worlds are preloaded afresh for AccumulateK1, so it builds its own
+// tables.
+func checkAccumulateK1(t *testing.T, worlds [][]interval.Interval, lanes []interval.Interval, f int) {
+	t.Helper()
+	var b interval.Batch
+	b.Reset(1)
+	for i := range lanes {
+		b.Add(lanes[i : i+1])
+	}
+	n := len(lanes)
+	want, wantCounts := make([]float64, n), make([]int, n)
+	widths, oks := make([]float64, n), make([]bool, n)
+	sws := make([]interval.Sweeper, len(worlds))
+	for w, base := range worlds {
+		sws[w].Preload(base)
+		sws[w].ScoreBatch(&b, f, widths, oks)
+		for i := range lanes {
+			scal, ok := sws[w].FuseWith(lanes[i:i+1], f)
+			if ok != oks[i] || (ok && math.Float64bits(widths[i]) != math.Float64bits(scal.Hi-scal.Lo)) {
+				t.Fatalf("world %v lane %v f=%d: ScoreBatch (%v, %v), FuseWith (%v, %v)", base, lanes[i], f, widths[i], oks[i], scal, ok)
+			}
+			if oks[i] {
+				want[i] += widths[i]
+				wantCounts[i]++
+			}
+		}
+	}
+	sums, counts := make([]float64, n), make([]int, n)
+	forEachKernel(t, func(kern string) {
+		clear(sums)
+		clear(counts)
+		for w, base := range worlds {
+			sws[w].Preload(base)
+			sws[w].AccumulateK1(&b, f, sums, counts)
+		}
+		for i := range lanes {
+			if counts[i] != wantCounts[i] || math.Float64bits(sums[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("kernel=%s lane %d %v f=%d worlds=%v: AccumulateK1 (%v, %d), ScoreBatch loop (%v, %d)",
+					kern, i, lanes[i], f, worlds, sums[i], counts[i], want[i], wantCounts[i])
+			}
+		}
+	})
+}
+
+// k1Worlds returns one world per extra interval: seen plus that extra.
+func k1Worlds(seen []interval.Interval, extras ...interval.Interval) [][]interval.Interval {
+	worlds := make([][]interval.Interval, len(extras))
+	for w, x := range extras {
+		worlds[w] = append(append([]interval.Interval(nil), seen...), x)
+	}
+	return worlds
+}
+
+// k1Sweep returns the plan search's k=1 lane shape: the fallback lane
+// first, then width-w lanes at centers lo, lo+step, ... up to hi.
+func k1Sweep(fallback interval.Interval, lo, hi, w, step float64) []interval.Interval {
+	lanes := []interval.Interval{fallback}
+	for c := lo; c <= hi; c += step {
+		lanes = append(lanes, interval.Interval{Lo: c - w/2, Hi: c + w/2})
+	}
+	return lanes
+}
+
+// TestAccumulateK1Runs pins AccumulateK1's run scoring and its
+// per-lane fallbacks on the shapes that switch between them: S one
+// segment (runs), several segments, empty A, need-1 = 0 (S is the whole
+// line), an empty S, ±0 endpoints, an out-of-order lane 0 and
+// non-monotone lanes. Each case scores several worlds, so the run
+// breakpoints move from world to world.
+func TestAccumulateK1Runs(t *testing.T) {
+	iv := interval.MustNew
+	negz := math.Copysign(0, -1)
+	seen := []interval.Interval{iv(-1, 1), iv(-0.5, 2)}
+	extras := []interval.Interval{iv(-3, 1), iv(-0.25, 0.75), iv(0.5, 4.5), iv(-6, -4), iv(1.5, 1.5), iv(-1, 2)}
+	sweep := k1Sweep(iv(0.3, 1.3), -4, 5, 1, 0.25)
+	spread := []interval.Interval{iv(-3, -1), iv(-1.5, 0.5), iv(0, 2), iv(1.5, 4)}
+	shuffled := append([]interval.Interval(nil), sweep...)
+	shuffled[5], shuffled[20] = shuffled[20], shuffled[5]
+	cases := []struct {
+		name   string
+		worlds [][]interval.Interval
+		lanes  []interval.Interval
+		f      int
+	}{
+		// n = 4, need 3: S = {cov >= 2} is one segment, A = {cov >= 3}.
+		{"one-segment", k1Worlds(seen, extras...), sweep, 1},
+		{"one-segment-no-fallback", k1Worlds(seen, extras...), sweep[1:], 1},
+		{"wide-lanes", k1Worlds(seen, extras...), k1Sweep(iv(-1, 3), -6, 7, 5, 0.5), 1},
+		{"point-lanes", k1Worlds(seen, extras...), k1Sweep(iv(1, 1), -3, 3, 0, 0.125), 1},
+		// f = 2 over spread plus one extra: S has several segments.
+		{"multi-segment", k1Worlds(spread, iv(-2, 3), iv(5, 6), iv(-1, -1)), k1Sweep(iv(0, 1), -5, 6, 1, 0.5), 3},
+		// need = n: A = {cov_base >= n} is empty, S is the overlap.
+		{"empty-A", k1Worlds(seen, iv(0, 3), iv(-2, -0.75), iv(3, 4)), sweep, 0},
+		{"need-1-is-0", k1Worlds(seen, extras...), sweep, 3},
+		{"empty-S", k1Worlds(spread, iv(10, 11)), k1Sweep(iv(0, 1), -5, 6, 1, 0.5), 0},
+		{"signed-zeros", k1Worlds([]interval.Interval{iv(-1, 1), iv(negz, 2)}, iv(-2, 0), iv(negz, 1), iv(0, 0)),
+			[]interval.Interval{iv(negz, 0), iv(-2, negz), iv(-1, 0), iv(negz, 1), iv(0, 2), iv(1, 3)}, 1},
+		{"signed-zero-table", k1Worlds([]interval.Interval{iv(negz, 1), iv(-1, 0)}, iv(-1, 1), iv(negz, negz)), sweep, 1},
+		{"lane0-out-of-order", k1Worlds(seen, extras...), append([]interval.Interval{iv(4, 6)}, sweep[1:]...), 1},
+		{"non-monotone", k1Worlds(seen, extras...), shuffled, 1},
+		{"nested-lanes", k1Worlds(seen, extras...), []interval.Interval{iv(-2, 2), iv(-1, 3), iv(0, 0.5), iv(0.25, 4), iv(1, 1)}, 1},
+		// Lo ascends but Hi does not: with seen plus [-0.25, 0.75], A is
+		// [-0.25, 0.75] inside S = [-0.5, 1], and the second lane's hi is
+		// aHi, not its own Hi.
+		{"hi-not-monotone", k1Worlds(seen, iv(-0.25, 0.75)), []interval.Interval{iv(0, 0.9), iv(0.1, 0.5)}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkAccumulateK1(t, tc.worlds, tc.lanes, tc.f)
+		})
+	}
+}
+
+// TestAccumulateK1RandomWorlds draws plan-search-shaped decisions — a
+// shared seen part, one to three unseen intervals per world, a
+// fallback lane and an ascending sweep of candidates, sometimes
+// disordered — on a coarse grid, so endpoints tie often.
+func TestAccumulateK1RandomWorlds(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140326))
+	draw := func() interval.Interval {
+		lo := float64(rng.Intn(41)-20) / 4
+		return interval.Interval{Lo: lo, Hi: lo + float64(rng.Intn(17))/4}
+	}
+	for trial := 0; trial < 600; trial++ {
+		seen := make([]interval.Interval, rng.Intn(4))
+		for i := range seen {
+			seen[i] = draw()
+		}
+		unseen := 1 + rng.Intn(3)
+		worlds := make([][]interval.Interval, 1+rng.Intn(6))
+		for w := range worlds {
+			worlds[w] = append([]interval.Interval(nil), seen...)
+			for j := 0; j < unseen; j++ {
+				worlds[w] = append(worlds[w], draw())
+			}
+		}
+		w := float64(rng.Intn(13)) / 4
+		lanes := k1Sweep(draw(), float64(rng.Intn(21)-15)/4, float64(rng.Intn(21))/4, w, float64(1+rng.Intn(4))/8)
+		if rng.Intn(4) == 0 && len(lanes) > 2 {
+			i, j := 1+rng.Intn(len(lanes)-1), 1+rng.Intn(len(lanes)-1)
+			lanes[i], lanes[j] = lanes[j], lanes[i]
+		}
+		checkAccumulateK1(t, worlds, lanes, rng.Intn(len(seen)+unseen+2))
+	}
+}
+
+// TestAccumulateK1SignedZeroBits draws worlds and ascending lanes from
+// endpoints in {-1, -0, +0, 1}, where most results tie zeros of both
+// signs, and holds AccumulateK1's sums to the ScoreBatch loop's bits.
+func TestAccumulateK1SignedZeroBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []float64{-1, math.Copysign(0, -1), 0, 1}
+	draw := func() interval.Interval {
+		a, b := vals[rng.Intn(4)], vals[rng.Intn(4)]
+		if a > b {
+			a, b = b, a
+		}
+		return interval.Interval{Lo: a, Hi: b}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		worlds := make([][]interval.Interval, 1+rng.Intn(3))
+		nb := rng.Intn(5)
+		for w := range worlds {
+			worlds[w] = make([]interval.Interval, nb)
+			for i := range worlds[w] {
+				worlds[w][i] = draw()
+			}
+		}
+		lanes := []interval.Interval{draw()}
+		for i := rng.Intn(6); i > 0; i-- {
+			lanes = append(lanes, draw())
+		}
+		slices.SortFunc(lanes[1:], func(a, b interval.Interval) int { return cmp.Compare(a.Lo+a.Hi, b.Lo+b.Hi) })
+		checkAccumulateK1(t, worlds, lanes, rng.Intn(nb+1))
+	}
+}
+
+// FuzzScoreK1Runs drives AccumulateK1 against per-world ScoreBatch
+// with fuzzed decisions: the byte string decodes into a seen part,
+// per-world extras, a fault bound, a fallback lane, and an ascending
+// sweep of lanes (every eighth input disorders one lane).
+func FuzzScoreK1Runs(f *testing.F) {
+	f.Add([]byte{2, 3, 1, 0, 4, 8, 250, 12, 2, 8, 16, 4, 240, 4, 8, 3, 0, 6, 2})
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 1, 2, 3})
+	f.Add([]byte{3, 4, 3, 1, 236, 8, 0, 8, 4, 8, 252, 12, 8, 0, 16, 4, 244, 2, 20, 8})
+	f.Add([]byte{1, 2, 2, 7, 0, 0, 0, 0, 128, 0, 0, 4, 1, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		at := func(j int) byte { return data[j%len(data)] }
+		decode := func(j int) interval.Interval {
+			lo := float64(int8(at(j))) / 4
+			return interval.Interval{Lo: lo, Hi: lo + float64(at(j+1)%16)/4}
+		}
+		nSeen, nWorlds, unseen := int(data[0])%4, 1+int(data[1])%4, 1+int(data[2])%2
+		j := 4
+		seen := make([]interval.Interval, nSeen)
+		for i := range seen {
+			seen[i], j = decode(j), j+2
+		}
+		worlds := make([][]interval.Interval, nWorlds)
+		for w := range worlds {
+			worlds[w] = append([]interval.Interval(nil), seen...)
+			for u := 0; u < unseen; u++ {
+				worlds[w], j = append(worlds[w], decode(j)), j+2
+			}
+		}
+		fb := int(data[3]) % (nSeen + unseen + 2)
+		w := float64(at(j)%16) / 4
+		start := float64(int8(at(j+1))) / 8
+		step := float64(1+at(j+2)%8) / 8
+		lanes := k1Sweep(decode(j+3), start, start+float64(at(j+5)%40)/4, w, step)
+		if data[3]%8 == 7 && len(lanes) > 2 {
+			lanes[1], lanes[len(lanes)-1] = lanes[len(lanes)-1], lanes[1]
+		}
+		checkAccumulateK1(t, worlds, lanes, fb)
 	})
 }

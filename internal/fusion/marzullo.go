@@ -54,7 +54,9 @@ func Fuse(ivs []interval.Interval, f int) (interval.Interval, error) {
 // FuseNaive computes the same fusion interval by scanning every endpoint
 // with an O(n^2) containment count. It exists as an independently simple
 // reference implementation for differential testing and as the baseline
-// of the sweep-vs-naive ablation benchmark.
+// of the sweep-vs-naive ablation benchmark. Its values equal Fuse's; on
+// a tie between -0 and +0 it returns the first qualifying endpoint in
+// input order, which can be the other zero than Fuse's.
 func FuseNaive(ivs []interval.Interval, f int) (interval.Interval, error) {
 	n := len(ivs)
 	if n == 0 {

@@ -34,10 +34,9 @@ type Batch struct {
 	k        int
 	los, his []float64 // stride k+2 segments: -Inf, sorted endpoints, +Inf
 	n        int
-	// For k == 1, recorded by Add for AccumulateK1: lanes ascFrom.. are
-	// ascending in both Lo and Hi, and zero reports a ±0 endpoint.
+	// ascFrom, recorded by Add for AccumulateK1: k=1 lanes ascFrom..
+	// are ascending in both Lo and Hi.
 	ascFrom int
-	zero    bool
 }
 
 // Reset clears the batch and fixes the per-candidate interval count to
@@ -51,7 +50,6 @@ func (b *Batch) Reset(k int) {
 	b.his = b.his[:0]
 	b.n = 0
 	b.ascFrom = 0
-	b.zero = false
 }
 
 // Len returns the number of candidates added since the last Reset.
@@ -74,9 +72,6 @@ func (b *Batch) Add(ivs []Interval) {
 		lo, hi := ivs[0].Lo, ivs[0].Hi
 		if b.n > 0 && (lo < b.los[len(b.los)-2] || hi < b.his[len(b.his)-2]) {
 			b.ascFrom = b.n
-		}
-		if lo == 0 || hi == 0 {
-			b.zero = true
 		}
 		b.los = append(b.los, math.Inf(-1), lo, math.Inf(1))
 		b.his = append(b.his, math.Inf(-1), hi, math.Inf(1))
@@ -254,17 +249,23 @@ func (s *Sweeper) k1Lane(b *Batch, i, f int) (Interval, bool) {
 //
 // It is the plan search's multi-world k=1 entry point, and the common
 // case costs little more than the adds. When S (see fuseLanesK1) is
-// one segment [s0, e0] and no table value or lane endpoint is ±0, the
-// lanes Add recorded as ascending (Batch.ascFrom on) split into runs
-// that each take one branch-free loop: S ∩ p is nonempty for a
-// contiguous range of them, outside which every lane fuses to A's hull;
-// inside it lo = min(aLo, max(s0, p.Lo)) is s0, then p.Lo, then aLo as
-// p.Lo passes s0 and aLo (s0 <= aLo, since A ⊆ S), and hi = max(aHi,
+// one segment [s0, e0] and none of s0, e0, aLo, aHi is ±0, the lanes
+// Add recorded as ascending (Batch.ascFrom on) split into runs that
+// each take one branch-free loop: S ∩ p is nonempty for a contiguous
+// range of them, outside which every lane fuses to A's hull; inside it
+// lo = min(aLo, max(s0, p.Lo)) is s0, then p.Lo, then aLo as p.Lo
+// passes s0 and aLo (s0 <= aLo, since A ⊆ S), and hi = max(aHi,
 // min(e0, p.Hi)) is aHi, then p.Hi, then e0 as p.Hi passes aHi and e0.
 // Every value a run selects is the one k1Lane selects (ties between
 // equal nonzero values are the same bits), and its width is the same
-// subtraction. Every other lane — the unordered prefix, a multi-segment
-// S, any ±0 — takes k1Lane.
+// subtraction. A run's lo is zero only when it is the lane's own p.Lo,
+// strictly inside (s0, aLo); base coverage at 0 is then below need
+// (else 0 would lie in A, below aLo), so the merge scan passes over
+// the base's zero copies, which it visits first, and returns the
+// lane's — the same bits. The hi side is symmetric, so lane endpoints
+// need no zero check. Every other lane — the unordered prefix, all
+// lanes when S has several segments or a table value is ±0 — takes
+// k1Lane.
 func (s *Sweeper) AccumulateK1(b *Batch, f int, sums []float64, counts []int) {
 	if b.k != 1 {
 		panic("interval: AccumulateK1 needs a k=1 batch")
@@ -278,7 +279,7 @@ func (s *Sweeper) AccumulateK1(b *Batch, f int, sums []float64, counts []int) {
 	}
 	s.ensureSegments(need)
 	runs := b.n // lanes runs.. are scored by runs
-	if len(s.segs) == 2 && !b.zero && s.aLo != 0 && s.aHi != 0 && s.segs[0] != 0 && s.segs[1] != 0 {
+	if len(s.segs) == 2 && s.aLo != 0 && s.aHi != 0 && s.segs[0] != 0 && s.segs[1] != 0 {
 		runs = b.ascFrom
 	}
 	for i := 0; i < runs; i++ {

@@ -116,9 +116,13 @@ func InsertSorted(sorted []float64, x float64) []float64 {
 // span from the smallest point covered by at least n-f of them to the
 // largest such point. ok is false when no point reaches that coverage
 // (the condition fusion.ErrNoFusion reports) or when f is out of range.
-// The result is bit-identical to the reference fusion.FuseNaive over
-// the concatenated slice — the differential tests in internal/fusion
-// pin that equivalence on random inputs.
+// The result has the same values as the reference fusion.FuseNaive
+// over the concatenated slice — the differential tests in
+// internal/fusion pin that equivalence on random inputs. The bits can
+// differ only in the sign of a zero endpoint: on a tie between -0 and
+// +0 this scan returns the copy its merge order reaches first, and
+// FuseNaive the first qualifying endpoint in input order. FuseWith's
+// bits are the ones every batch kernel reproduces.
 func (s *Sweeper) FuseWith(extra []Interval, f int) (Interval, bool) {
 	s.extLos = s.extLos[:0]
 	s.extHis = s.extHis[:0]

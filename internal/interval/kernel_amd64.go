@@ -103,7 +103,10 @@ var (
 // four and finalizes each lane's candidate thresholds in Go. Exactly
 // one of out (FuseBatch) and widths (ScoreBatch) is non-nil. It returns
 // the number of lanes consumed; the remainder (b.n mod 4) falls through
-// to fuseMerged in fuseBatch.
+// to fuseMerged in fuseBatch. The kernel selects values by min/max, so
+// on ±0 ties it may return either zero; as in fuseLanesK1, a lane whose
+// lo or hi is zero is re-scored by fuseSorted, FuseWith's own scan,
+// which defines those bits.
 func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []float64, ok []bool) int {
 	s.ensureKernelTables(need)
 	nb := len(s.los)
@@ -124,6 +127,9 @@ func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []flo
 			iv, o := finalizeK2(outLo[l], outHi[l],
 				bcov[l], bcov[4+l], bcov[8+l], bcov[12+l],
 				b.los[ls+1], b.los[ls+2], b.his[ls+1], b.his[ls+2], need)
+			if o && (iv.Lo == 0 || iv.Hi == 0) {
+				iv, o = s.fuseSorted(b.los[ls+1:ls+3], b.his[ls+1:ls+3], nb+2-need)
+			}
 			if out != nil {
 				out[g+l] = iv
 			} else {
