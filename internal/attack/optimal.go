@@ -288,11 +288,13 @@ func (o *Optimal) searchBatched(ctx Context, cands [][]float64, fallback []inter
 	// scalar expectedWidth call; the argmax below seeds its baseline from
 	// this lane and never selects it (ties keep the fallback, exactly like
 	// the old strict `s > bestScore` comparison against a prescored
-	// baseline). A candidate tuple bit-equal to the fallback scores the
-	// fallback's bits in every world, so it can only tie: it is left out,
-	// and a decision left with the fallback alone builds no worlds at
-	// all (a passive attacker whose width equals Delta's has one
-	// candidate, the fallback itself).
+	// baseline). A candidate tuple equal to the fallback, interval for
+	// interval, fuses to the same values in every world (fusion compares
+	// values only), so its score can only tie the fallback's: it is left
+	// out, and a decision left with the fallback alone builds no worlds
+	// at all. A passive attacker whose width equals Delta's has exactly
+	// one candidate, the fallback itself; such decisions are most of the
+	// case study's Monte Carlo ones.
 	fallbackLane := 0
 	if ctx.StealthOK(fallback) {
 		fallbackLane = 1
