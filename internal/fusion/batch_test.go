@@ -492,13 +492,13 @@ func k1Sweep(fallback interval.Interval, lo, hi, w, step float64) []interval.Int
 	return lanes
 }
 
-// TestAccumulateK1Runs pins AccumulateK1's run scoring and its
-// per-lane fallbacks on the shapes that switch between them: S one
-// segment (runs), several segments, empty A, need-1 = 0 (S is the whole
-// line), an empty S, ±0 endpoints, an out-of-order lane 0 and
-// non-monotone lanes. Each case scores several worlds, so the run
-// breakpoints move from world to world.
-func TestAccumulateK1Runs(t *testing.T) {
+// TestAccumulateK1Shapes pins AccumulateK1's one-segment closed form
+// and its k1Lane fallback on the shapes that switch between them or
+// bend the closed form: S one segment, several segments, empty A,
+// need-1 = 0 (S is the whole line), an empty S, ±0 endpoints and
+// table values, an out-of-order lane 0, non-monotone and nested lanes.
+// Each case scores several worlds, so S and A move from world to world.
+func TestAccumulateK1Shapes(t *testing.T) {
 	iv := interval.MustNew
 	negz := math.Copysign(0, -1)
 	seen := []interval.Interval{iv(-1, 1), iv(-0.5, 2)}
@@ -577,7 +577,8 @@ func TestAccumulateK1RandomWorlds(t *testing.T) {
 
 // TestAccumulateK1SignedZeroBits draws worlds and ascending lanes from
 // endpoints in {-1, -0, +0, 1}, where most results tie zeros of both
-// signs, and holds AccumulateK1's sums to the ScoreBatch loop's bits.
+// signs, and holds AccumulateK1's sums to the ScoreBatch loop's bits:
+// the closed form skips the zero re-score for lane endpoints.
 func TestAccumulateK1SignedZeroBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vals := []float64{-1, math.Copysign(0, -1), 0, 1}
@@ -588,7 +589,7 @@ func TestAccumulateK1SignedZeroBits(t *testing.T) {
 		}
 		return interval.Interval{Lo: a, Hi: b}
 	}
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 20000; trial++ {
 		worlds := make([][]interval.Interval, 1+rng.Intn(3))
 		nb := rng.Intn(5)
 		for w := range worlds {
@@ -598,7 +599,7 @@ func TestAccumulateK1SignedZeroBits(t *testing.T) {
 			}
 		}
 		lanes := []interval.Interval{draw()}
-		for i := rng.Intn(6); i > 0; i-- {
+		for i := rng.Intn(8); i > 0; i-- {
 			lanes = append(lanes, draw())
 		}
 		slices.SortFunc(lanes[1:], func(a, b interval.Interval) int { return cmp.Compare(a.Lo+a.Hi, b.Lo+b.Hi) })
@@ -608,8 +609,9 @@ func TestAccumulateK1SignedZeroBits(t *testing.T) {
 
 // FuzzScoreK1Runs drives AccumulateK1 against per-world ScoreBatch
 // with fuzzed decisions: the byte string decodes into a seen part,
-// per-world extras, a fault bound, a fallback lane, and an ascending
-// sweep of lanes (every eighth input disorders one lane).
+// per-world extras, a fault bound, a fallback lane, and a run of lanes
+// at ascending centers, the plan search's shape (every eighth input
+// disorders one lane).
 func FuzzScoreK1Runs(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 4, 8, 250, 12, 2, 8, 16, 4, 240, 4, 8, 3, 0, 6, 2})
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 1, 2, 3})

@@ -34,9 +34,6 @@ type Batch struct {
 	k        int
 	los, his []float64 // stride k+2 segments: -Inf, sorted endpoints, +Inf
 	n        int
-	// ascFrom, recorded by Add for AccumulateK1: k=1 lanes ascFrom..
-	// are ascending in both Lo and Hi.
-	ascFrom int
 }
 
 // Reset clears the batch and fixes the per-candidate interval count to
@@ -49,7 +46,6 @@ func (b *Batch) Reset(k int) {
 	b.los = b.los[:0]
 	b.his = b.his[:0]
 	b.n = 0
-	b.ascFrom = 0
 }
 
 // Len returns the number of candidates added since the last Reset.
@@ -69,12 +65,8 @@ func (b *Batch) Add(ivs []Interval) {
 	// compare-and-swap does all the sorting.
 	switch b.k {
 	case 1:
-		lo, hi := ivs[0].Lo, ivs[0].Hi
-		if b.n > 0 && (lo < b.los[len(b.los)-2] || hi < b.his[len(b.his)-2]) {
-			b.ascFrom = b.n
-		}
-		b.los = append(b.los, math.Inf(-1), lo, math.Inf(1))
-		b.his = append(b.his, math.Inf(-1), hi, math.Inf(1))
+		b.los = append(b.los, math.Inf(-1), ivs[0].Lo, math.Inf(1))
+		b.his = append(b.his, math.Inf(-1), ivs[0].Hi, math.Inf(1))
 		b.n++
 		return
 	case 2:
@@ -245,26 +237,20 @@ func (s *Sweeper) k1Lane(b *Batch, i, f int) (Interval, bool) {
 // width to sums[i] and one to counts[i]; lanes that do not fuse are
 // left alone. sums and counts must have length b.Len(). Calling it once
 // per world accumulates exactly the sums ScoreBatch plus an in-order
-// add loop would, bit for bit.
+// add loop would, bit for bit, without the per-world widths and oks.
 //
-// It is the plan search's multi-world k=1 entry point, and the common
-// case costs little more than the adds. When S (see fuseLanesK1) is
-// one segment [s0, e0] and none of s0, e0, aLo, aHi is ±0, the lanes
-// Add recorded as ascending (Batch.ascFrom on) split into runs that
-// each take one branch-free loop: S ∩ p is nonempty for a contiguous
-// range of them, outside which every lane fuses to A's hull; inside it
-// lo = min(aLo, max(s0, p.Lo)) is s0, then p.Lo, then aLo as p.Lo
-// passes s0 and aLo (s0 <= aLo, since A ⊆ S), and hi = max(aHi,
-// min(e0, p.Hi)) is aHi, then p.Hi, then e0 as p.Hi passes aHi and e0.
-// Every value a run selects is the one k1Lane selects (ties between
-// equal nonzero values are the same bits), and its width is the same
-// subtraction. A run's lo is zero only when it is the lane's own p.Lo,
-// strictly inside (s0, aLo); base coverage at 0 is then below need
-// (else 0 would lie in A, below aLo), so the merge scan passes over
-// the base's zero copies, which it visits first, and returns the
-// lane's — the same bits. The hi side is symmetric, so lane endpoints
-// need no zero check. Every other lane — the unordered prefix, all
-// lanes when S has several segments or a table value is ±0 — takes
+// It is the plan search's multi-world k=1 entry point. In the common
+// case S (see fuseLanesK1) is one segment [s0, e0] and none of s0, e0,
+// aLo, aHi is ±0; each lane is then k1Lane's formula with the segment
+// fixed — lo = min(aLo, max(s0, p.Lo)) and hi = max(aHi, min(e0, p.Hi))
+// when p meets [s0, e0], A's hull otherwise — in a few compares whose
+// branches predict well, since the plan search adds its candidates by
+// ascending center. Such a lane needs no zero re-score: its lo is zero
+// only as its own p.Lo, strictly below aLo, so the base alone covers 0
+// fewer than need times (else 0 would lie in A); the merge scan then
+// passes over the base's zero copies, which it visits first, and
+// returns the lane's — the same bits. The hi side is symmetric. When S
+// has several segments or a table value is ±0, every lane takes
 // k1Lane.
 func (s *Sweeper) AccumulateK1(b *Batch, f int, sums []float64, counts []int) {
 	if b.k != 1 {
@@ -278,106 +264,38 @@ func (s *Sweeper) AccumulateK1(b *Batch, f int, sums []float64, counts []int) {
 		return
 	}
 	s.ensureSegments(need)
-	runs := b.n // lanes runs.. are scored by runs
-	if len(s.segs) == 2 && s.aLo != 0 && s.aHi != 0 && s.segs[0] != 0 && s.segs[1] != 0 {
-		runs = b.ascFrom
-	}
-	for i := 0; i < runs; i++ {
-		if iv, ok := s.k1Lane(b, i, f); ok {
-			sums[i] += iv.Hi - iv.Lo
-			counts[i]++
+	if len(s.segs) != 2 || s.aLo == 0 || s.aHi == 0 || s.segs[0] == 0 || s.segs[1] == 0 {
+		for i := 0; i < b.n; i++ {
+			if iv, ok := s.k1Lane(b, i, f); ok {
+				sums[i] += iv.Hi - iv.Lo
+				counts[i]++
+			}
 		}
-	}
-	if runs == b.n {
 		return
 	}
 	s0, e0, aLo, aHi := s.segs[0], s.segs[1], s.aLo, s.aHi
 	los, his := b.los[1:], b.his[1:] // lane i's endpoints at 3i
-	// The breakpoints, found by walking the ascending lanes: S ∩ p is
-	// nonempty on [iA, iB); there lo is s0 before l1, p.Lo before l2 and
-	// aLo after, and hi is aHi before h1, p.Hi before h2 and e0 after.
-	// min(aLo, e0) keeps l2 inside [iA, iB) when A is empty (aLo = +Inf).
-	n := b.n
-	i := runs
-	for i < n && his[3*i] < s0 {
-		i++
-	}
-	iA := i
-	for i < n && los[3*i] <= s0 {
-		i++
-	}
-	l1 := i
-	aLoE := min(aLo, e0)
-	for i < n && los[3*i] <= aLoE {
-		i++
-	}
-	l2 := i
-	for i < n && los[3*i] <= e0 {
-		i++
-	}
-	iB := i
-	i = iA
-	for i < iB && his[3*i] <= aHi {
-		i++
-	}
-	h1 := i
-	for i < iB && his[3*i] <= e0 {
-		i++
-	}
-	h2 := i
-	if aLo <= aHi { // A nonempty: lanes missing S fuse to A's hull
-		addConst(sums, counts, runs, iA, aHi-aLo)
-		addConst(sums, counts, iB, n, aHi-aLo)
-	}
-	for i := iA; i < iB; {
-		j := iB
-		for _, x := range [4]int{l1, l2, h1, h2} {
-			if x > i && x < j {
-				j = x
+	for i := 0; i < b.n; i++ {
+		pLo, pHi := los[3*i], his[3*i]
+		lo, hi := aLo, aHi
+		if s0 <= pHi && pLo <= e0 {
+			if pLo < s0 {
+				pLo = s0
+			}
+			if pLo < lo {
+				lo = pLo
+			}
+			if pHi > e0 {
+				pHi = e0
+			}
+			if pHi > hi {
+				hi = pHi
 			}
 		}
-		lo, loLane := aLo, false
-		switch {
-		case i < l1:
-			lo = s0
-		case i < l2:
-			loLane = true
+		if lo <= hi {
+			sums[i] += hi - lo
+			counts[i]++
 		}
-		hi, hiLane := e0, false
-		switch {
-		case i < h1:
-			hi = aHi
-		case i < h2:
-			hiLane = true
-		}
-		switch {
-		case loLane && hiLane:
-			for ; i < j; i++ {
-				sums[i] += his[3*i] - los[3*i]
-				counts[i]++
-			}
-		case loLane:
-			for ; i < j; i++ {
-				sums[i] += hi - los[3*i]
-				counts[i]++
-			}
-		case hiLane:
-			for ; i < j; i++ {
-				sums[i] += his[3*i] - lo
-				counts[i]++
-			}
-		default:
-			addConst(sums, counts, i, j, hi-lo)
-			i = j
-		}
-	}
-}
-
-// addConst adds w to sums[i:j] and one to counts[i:j].
-func addConst(sums []float64, counts []int, i, j int, w float64) {
-	for ; i < j; i++ {
-		sums[i] += w
-		counts[i]++
 	}
 }
 
