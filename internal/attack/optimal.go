@@ -333,9 +333,8 @@ func (o *Optimal) searchBatched(ctx Context, cands [][]float64, fallback []inter
 	// accumulate in world-enumeration order — exactly the summation
 	// order a per-tuple scalar scoring loop would use, so the scores
 	// (and the plan the argmax selects) are bit-identical to the scalar
-	// search.
-	// Single placements accumulate in place (AccumulateK1 adds the same
-	// widths in the same order).
+	// search. Single placements accumulate in place: AccumulateK1 adds
+	// the widths ScoreBatch would report, in the same order.
 	o.sums = resizeFloats(o.sums, nb)
 	o.counts = resizeInts(o.counts, nb)
 	clear(o.sums)

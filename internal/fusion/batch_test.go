@@ -425,6 +425,36 @@ func TestFuseBatchK2SignedZeroAVX2Regression(t *testing.T) {
 	checkBatchAgainstReference(t, &sw, base, [][]interval.Interval{lane, lane, lane, lane}, 2, 1)
 }
 
+// TestFuseBatchK2SignedZeroBits is TestFuseBatchK1SignedZeroBits for
+// two placements, in batches of 4 to 9 lanes so the AVX2 kernel takes
+// whole groups: its zero re-score must fire whenever a -0 is present,
+// in the base or in the lane.
+func TestFuseBatchK2SignedZeroBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	vals := []float64{-1, math.Copysign(0, -1), 0, 1}
+	draw := func(n int) []interval.Interval {
+		ivs := make([]interval.Interval, n)
+		for i := range ivs {
+			a, b := vals[rng.Intn(4)], vals[rng.Intn(4)]
+			if a > b {
+				a, b = b, a
+			}
+			ivs[i] = interval.Interval{Lo: a, Hi: b}
+		}
+		return ivs
+	}
+	var sw interval.Sweeper
+	for trial := 0; trial < 1000; trial++ {
+		base := draw(rng.Intn(6))
+		cands := make([][]interval.Interval, 4+rng.Intn(6))
+		for i := range cands {
+			cands[i] = draw(2)
+		}
+		sw.Preload(base)
+		checkBatchAgainstReference(t, &sw, base, cands, 2, rng.Intn(len(base)+2))
+	}
+}
+
 // checkAccumulateK1 scores the k=1 lanes in every world through
 // AccumulateK1, under every kernel, and requires the sums and counts,
 // bit for bit, that per-world ScoreBatch calls with an in-order add

@@ -40,10 +40,11 @@ type Sweeper struct {
 	// extremes iff the candidate coverage contribution d there satisfies
 	// d > thr. Valid for coverage threshold kneed; kclean marks them
 	// current. Rebuilt lazily by ensureKernelTables after any base
-	// mutation or need change.
+	// mutation or need change, with knegz: the base holds a -0.
 	thrLo, thrHi []int64
 	kclean       bool
 	kneed        int
+	knegz        bool
 	// segs and aLo/aHi are the k=1 segment kernel's tables (batch.go):
 	// the closed segments of {x : cov_base(x) >= gneed-1} as (start,
 	// end) pairs and the hull of {x : cov_base(x) >= gneed}. gclean

@@ -106,7 +106,9 @@ var (
 // to fuseMerged in fuseBatch. The kernel selects values by min/max, so
 // on ±0 ties it may return either zero; as in fuseLanesK1, a lane whose
 // lo or hi is zero is re-scored by fuseSorted, FuseWith's own scan,
-// which defines those bits.
+// which defines those bits — but only when some base or lane endpoint
+// is -0: with +0 the only zero, every zero pick has the scan's bits.
+// Integer-grid campaigns fuse to 0 often and never carry a -0.
 func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []float64, ok []bool) int {
 	s.ensureKernelTables(need)
 	nb := len(s.los)
@@ -127,7 +129,7 @@ func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []flo
 			iv, o := finalizeK2(outLo[l], outHi[l],
 				bcov[l], bcov[4+l], bcov[8+l], bcov[12+l],
 				b.los[ls+1], b.los[ls+2], b.his[ls+1], b.his[ls+2], need)
-			if o && (iv.Lo == 0 || iv.Hi == 0) {
+			if o && (iv.Lo == 0 || iv.Hi == 0) && (s.knegz || negZero(b.los[ls+1:ls+3]) || negZero(b.his[ls+1:ls+3])) {
 				iv, o = s.fuseSorted(b.los[ls+1:ls+3], b.his[ls+1:ls+3], nb+2-need)
 			}
 			if out != nil {
@@ -197,8 +199,19 @@ func (s *Sweeper) ensureKernelTables(need int) {
 			s.thrHi[i] = thr
 		}
 	}
-	s.kclean = true
 	s.kneed = need
+	s.knegz = negZero(s.los) || negZero(s.his)
+	s.kclean = true
+}
+
+// negZero reports whether xs holds a -0.
+func negZero(xs []float64) bool {
+	for _, x := range xs {
+		if x == 0 && math.Signbit(x) {
+			return true
+		}
+	}
+	return false
 }
 
 // b2i64 returns 1 for true and 0 for false; the compiler lowers it to a
