@@ -5,7 +5,9 @@ import "math/rand"
 // This file is the Monte Carlo world sampler's random source: a copy of
 // math/rand's default source (rand.NewSource, an additive lagged
 // Fibonacci generator) that returns the same draws for every seed but
-// reseeds about four times faster. The plan search reseeds once per
+// reseeds four to six times faster (BenchmarkMCSourceSeed against
+// BenchmarkMathRandSeed: 2.2–3.3 µs against 12.8–13.6 µs on a shared
+// 2-vCPU amd64 box). The plan search reseeds once per
 // Monte Carlo decision, and rand.Seed spends nearly all of its time in
 // the 1,841 serial Schrage divisions of its Lehmer seeding generator.
 // Here those Lehmer steps use a Mersenne reduction instead, in four
