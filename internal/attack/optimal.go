@@ -909,9 +909,6 @@ type evaluator struct {
 	// sweeps[w] holds world w's fixed intervals — ctx.Seen plus the
 	// world's completion — presorted for incremental candidate scoring.
 	sweeps []interval.Sweeper
-	// seenLos/seenHis are ctx.Seen's endpoints, sorted once per decision
-	// and copied into every world.
-	seenLos, seenHis []float64
 
 	// Enumeration scratch: the truth grid, and the odometer state of the
 	// exact world enumeration (current center and inclusive limit per
@@ -1000,23 +997,23 @@ func (e *evaluator) init(ctx Context) {
 }
 
 // prepareSweeps preloads one incremental sweeper per world with that
-// world's fixed intervals (Seen plus the world's unseen completion):
-// Seen's endpoints are sorted once, and each world copies them and
-// inserts its own. Sweeper buffers — including the tables the batch
-// kernels rebuild lazily — are reused across decisions.
+// world's fixed intervals (Seen plus the world's unseen completion).
+// Seen is sorted once, into the last world, and every other world
+// copies it before the last adds its own endpoints. Sweeper buffers —
+// including the tables the batch kernels rebuild lazily — are reused
+// across decisions.
 func (e *evaluator) prepareSweeps(ctx Context, worlds int) {
 	if cap(e.sweeps) < worlds {
 		e.sweeps = append(e.sweeps[:cap(e.sweeps)], make([]interval.Sweeper, worlds-cap(e.sweeps))...)
 	}
 	e.sweeps = e.sweeps[:worlds]
-	e.seenLos, e.seenHis = e.seenLos[:0], e.seenHis[:0]
-	for _, iv := range ctx.Seen {
-		e.seenLos = interval.InsertSorted(e.seenLos, iv.Lo)
-		e.seenHis = interval.InsertSorted(e.seenHis, iv.Hi)
-	}
+	last := &e.sweeps[worlds-1]
+	last.Preload(ctx.Seen)
 	for w := 0; w < worlds; w++ {
 		sw := &e.sweeps[w]
-		sw.PreloadSorted(e.seenLos, e.seenHis)
+		if sw != last {
+			sw.PreloadFrom(last)
+		}
 		for _, iv := range e.arena[w*e.stride : w*e.stride+e.stride] {
 			sw.Add(iv)
 		}

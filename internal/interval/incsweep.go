@@ -74,17 +74,16 @@ func (s *Sweeper) Preload(ivs []Interval) {
 	slices.Sort(s.his)
 }
 
-// PreloadSorted replaces the base set with the intervals whose Lo
-// endpoints are los and Hi endpoints his, each already sorted ascending
-// and of equal length: Preload without the sort, for callers that build
-// many bases from one presorted part (the plan search's worlds: one
-// decision's seen intervals, sorted once, plus each world's Adds).
-func (s *Sweeper) PreloadSorted(los, his []float64) {
+// PreloadFrom replaces the base set with a copy of src's: Preload
+// without the sort, for callers that build many bases from one sorted
+// part (the plan search's worlds: one decision's seen intervals,
+// preloaded once, then each world's Adds).
+func (s *Sweeper) PreloadFrom(src *Sweeper) {
 	s.sclean = false
 	s.kclean = false
 	s.gclean = false
-	s.los = append(s.los[:0], los...)
-	s.his = append(s.his[:0], his...)
+	s.los = append(s.los[:0], src.los...)
+	s.his = append(s.his[:0], src.his...)
 }
 
 // Add appends one interval to the base set without a full Preload.
