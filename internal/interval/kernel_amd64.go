@@ -108,7 +108,8 @@ var (
 // lo or hi is zero is re-scored by fuseSorted, FuseWith's own scan,
 // which defines those bits — but only when some base or lane endpoint
 // is -0: with +0 the only zero, every zero pick has the scan's bits.
-// Integer-grid campaigns fuse to 0 often and never carry a -0.
+// Integer-grid campaigns fuse lanes to 0 often, and the runs measured
+// carried no -0.
 func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []float64, ok []bool) int {
 	s.ensureKernelTables(need)
 	nb := len(s.los)
