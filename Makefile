@@ -144,7 +144,7 @@ scenarios:
 
 # Short coverage-guided fuzzing of the seven fuzz targets (scenario
 # config decoder, results JSONL round-trip, batch fusion equivalence,
-# the run-scored k=1 accumulation against per-world batch scoring, the
+# the in-place k=1 accumulation against per-world batch scoring, the
 # full-knowledge row search against the batched plan search, the plan
 # of a translated context against the translated plan, and the
 # decision-grouped expectation against the round-by-round one), each

@@ -467,12 +467,13 @@ func batchedPlan(ctx Context) []interval.Interval {
 	return o.searchBatched(ctx, cands, fallback)
 }
 
-// randomFullKnowledgeContext draws a single-world context placing two
-// intervals: full knowledge (N-2 seen intervals, none unseen), or, for
-// about one in five, one unseen sensor resolved by a single Monte Carlo
-// world, which also reaches the passive regime. grid selects integer
-// endpoints, widths and step, where width ties between tuples and with
-// the fallback are common.
+// randomFullKnowledgeContext draws a full-knowledge context placing two
+// intervals: N-2 seen intervals, none unseen — the contexts Plan sends
+// to the row search. They are always Active (Sent = N-2 >= N-F-2); a
+// context with unseen sensors takes the batched search even when it
+// resolves to a single world, so the Passive regime never reaches the
+// row search. grid selects integer endpoints, widths and step, where
+// width ties between tuples and with the fallback are common.
 func randomFullKnowledgeContext(rng *rand.Rand, grid bool) Context {
 	n := 4 + rng.Intn(4)
 	f := 1 + rng.Intn(n-2)
@@ -495,13 +496,6 @@ func randomFullKnowledgeContext(rng *rand.Rand, grid bool) Context {
 	c.Delta = interval.MustCentered(val(1), width()/2)
 	c.OwnWidths = []float64{width(), width()}
 	nSeen := n - 2
-	if rng.Intn(5) == 0 {
-		nSeen = rng.Intn(n - 2)
-		c.MaxExact, c.MCSamples = 1, 1
-		for u := 0; u < n-2-nSeen; u++ {
-			c.UnseenWidths = append(c.UnseenWidths, width())
-		}
-	}
 	for s := 0; s < nSeen; s++ {
 		c.Seen = append(c.Seen, interval.MustCentered(val(3), width()))
 	}
@@ -513,7 +507,7 @@ func randomFullKnowledgeContext(rng *rand.Rand, grid bool) Context {
 }
 
 // TestOptimalFullKnowledgeMatchesBatchedSearch is the differential
-// oracle for the row search: on random single-world two-placement
+// oracle for the row search: on random full-knowledge two-placement
 // contexts, Plan (which takes searchRows) must return bit for bit the
 // plan of the batched search called directly. The counters make sure
 // the draw covers what makes the argmax delicate: fallback ties, rows
@@ -569,7 +563,7 @@ func TestOptimalFullKnowledgeMatchesBatchedSearch(t *testing.T) {
 }
 
 // FuzzOptimalFullKnowledge drives the row search against the batched
-// oracle on fuzzer-chosen single-world contexts.
+// oracle on fuzzer-chosen full-knowledge contexts.
 func FuzzOptimalFullKnowledge(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 11, 2014} {
 		f.Add(seed, true)

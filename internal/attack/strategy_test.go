@@ -197,7 +197,22 @@ func TestStrategyPlanIsFunctionOfContext(t *testing.T) {
 	}
 	monteCarlo := multiWorld
 	monteCarlo.MaxExact, monteCarlo.MCSamples = 2, 40
-	ctxs = append(ctxs, multiWorld, monteCarlo, translate(ctxs[0], 3))
+	// Two placements in the Passive regime (Sent < N-F-2), with the
+	// unseen sensors resolved by a single Monte Carlo world.
+	passiveOneWorld := Context{
+		N: 5, F: 1, Sent: 1,
+		Delta:        interval.MustNew(-1, 1),
+		OwnWidths:    []float64{2, 3},
+		Seen:         []interval.Interval{interval.MustNew(-0.5, 1.5)},
+		UnseenWidths: []float64{2, 3},
+		Step:         0.5,
+		MaxExact:     1,
+		MCSamples:    1,
+	}
+	if err := passiveOneWorld.Validate(); err != nil || passiveOneWorld.Mode() != Passive {
+		t.Fatalf("fixture: %v, mode %v", err, passiveOneWorld.Mode())
+	}
+	ctxs = append(ctxs, multiWorld, monteCarlo, passiveOneWorld, translate(ctxs[0], 3))
 
 	strategies := []func() Strategy{
 		func() Strategy { return Null{} },

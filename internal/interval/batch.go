@@ -251,7 +251,9 @@ func (s *Sweeper) k1Lane(b *Batch, i, f int) (Interval, bool) {
 // passes over the base's zero copies, which it visits first, and
 // returns the lane's — the same bits. The hi side is symmetric. When S
 // has several segments or a table value is ±0, every lane takes
-// k1Lane.
+// k1Lane. The closed form earns its lines: with every lane through
+// k1Lane, perfbench scenarios ran about a third slower (143k against
+// 213k items/s median, ten alternating pairs on 2 shared amd64 vCPUs).
 func (s *Sweeper) AccumulateK1(b *Batch, f int, sums []float64, counts []int) {
 	if b.k != 1 {
 		panic("interval: AccumulateK1 needs a k=1 batch")

@@ -8,7 +8,7 @@ package interval
 // the assembly in groups of four and run k=0, k>=3 and the n mod 4
 // tail through fuseMerged. Under both, k=1 lanes take the segment
 // kernel (batch.go's fuseLanesK1: a closed form over per-base tables,
-// no per-lane merge, and AccumulateK1, its run-scored accumulating
+// no per-lane merge, and AccumulateK1, its in-place accumulating
 // form), which is not a selectable kernel. The default is
 // chosen at startup by CPU feature detection — AVX2 on capable amd64,
 // generic everywhere else — and can be forced with the
