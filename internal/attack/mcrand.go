@@ -5,14 +5,14 @@ import "math/rand"
 // This file is the Monte Carlo world sampler's random source: a copy of
 // math/rand's default source (rand.NewSource, an additive lagged
 // Fibonacci generator) that returns the same draws for every seed but
-// reseeds four to six times faster (BenchmarkMCSourceSeed against
-// BenchmarkMathRandSeed: 2.2–3.3 µs against 12.8–13.6 µs on a shared
-// 2-vCPU amd64 box). The plan search reseeds once per
-// Monte Carlo decision, and rand.Seed spends nearly all of its time in
-// the 1,841 serial Schrage divisions of its Lehmer seeding generator.
-// Here those Lehmer steps use a Mersenne reduction instead, in four
-// interleaved chains that start from precomputed jump-ahead powers, so
-// the multiply latency of one chain hides behind the other three.
+// reseeds two to three times faster (BenchmarkMCSourceSeed against
+// BenchmarkMathRandSeed: 4.8–5.4 µs against 12.8–13.6 µs on a shared
+// 2-vCPU amd64 box). The plan search reseeds once per Monte Carlo
+// decision, and rand.Seed spends nearly all of its time in the 1,841
+// serial Schrage divisions of its Lehmer seeding generator; here those
+// steps use a Mersenne reduction instead. Four interleaved jump-ahead
+// chains seeded in 1.9–2.6 µs, but perfbench scenarios could not tell
+// them from this single chain (20 alternating pairs), so they went.
 //
 // Seeding builds state word i from three consecutive Lehmer values
 // x_{21+3i}, x_{22+3i}, x_{23+3i} (x_k = 48271^k·seed mod 2^31−1),
@@ -29,8 +29,6 @@ const (
 	lehmerP  = 1<<31 - 1 // the Lehmer modulus, a Mersenne prime
 	lehmerA  = 48271     // the Lehmer multiplier
 	lehmer0  = 89482311  // the substitute for a seed ≡ 0
-	lfChains = 4         // interleaved Lehmer chains
-	lfChunk  = 152       // state words per chain, ⌈607/4⌉
 	lfWarmup = 20        // Lehmer steps before the first state word
 )
 
@@ -40,19 +38,6 @@ type mcSource struct {
 	tap, feed int
 	vec       [lfLen]int64
 }
-
-// lfJump[c] is 48271^(20+3·152·c) mod 2^31−1: the Lehmer multiplier
-// that takes the seed to the value just before chain c's first word.
-var lfJump = func() (j [lfChains]uint64) {
-	for c := range j {
-		x := uint64(1)
-		for i := 0; i < lfWarmup+3*lfChunk*c; i++ {
-			x = lehmerStep(x)
-		}
-		j[c] = x
-	}
-	return j
-}()
 
 // lfCooked is math/rand's rngCooked table, recovered from rand.NewSource.
 var lfCooked = func() (cooked [lfLen]int64) {
@@ -82,46 +67,20 @@ func lehmerStep(x uint64) uint64 {
 	return t&lehmerP + t>>31
 }
 
-// lehmerMul returns a·x mod 2^31−1 for a, x in [1, 2^31−2].
-func lehmerMul(a, x uint64) uint64 {
-	t := a * x
-	t = t&lehmerP + t>>31
-	t = t&lehmerP + t>>31
-	return t&lehmerP + t>>31
-}
-
 // lehmerWords writes seed's state words into vec: word i is
 // x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i} ^ cook[i], the same bits
 // math/rand's int64 shifts produce. seed must lie in [1, 2^31−2].
 func lehmerWords(vec, cook *[lfLen]int64, seed uint64) {
-	x0 := lehmerMul(lfJump[0], seed)
-	x1 := lehmerMul(lfJump[1], seed)
-	x2 := lehmerMul(lfJump[2], seed)
-	x3 := lehmerMul(lfJump[3], seed)
-	word := func(x uint64) (uint64, uint64) {
+	x := seed
+	for i := 0; i < lfWarmup; i++ {
+		x = lehmerStep(x)
+	}
+	for i := range vec {
 		a := lehmerStep(x)
 		b := lehmerStep(a)
-		c := lehmerStep(b)
-		return a<<40 ^ b<<20 ^ c, c
+		x = lehmerStep(b)
+		vec[i] = int64(a<<40^b<<20^x) ^ cook[i]
 	}
-	var w uint64
-	// The last chain holds one word fewer (607 = 4·152 − 1).
-	for j := 0; j < lfChunk-1; j++ {
-		w, x0 = word(x0)
-		vec[j] = int64(w) ^ cook[j]
-		w, x1 = word(x1)
-		vec[lfChunk+j] = int64(w) ^ cook[lfChunk+j]
-		w, x2 = word(x2)
-		vec[2*lfChunk+j] = int64(w) ^ cook[2*lfChunk+j]
-		w, x3 = word(x3)
-		vec[3*lfChunk+j] = int64(w) ^ cook[3*lfChunk+j]
-	}
-	w, _ = word(x0)
-	vec[lfChunk-1] = int64(w) ^ cook[lfChunk-1]
-	w, _ = word(x1)
-	vec[2*lfChunk-1] = int64(w) ^ cook[2*lfChunk-1]
-	w, _ = word(x2)
-	vec[3*lfChunk-1] = int64(w) ^ cook[3*lfChunk-1]
 }
 
 // Seed resets the source to rand.NewSource(seed)'s state.

@@ -62,11 +62,6 @@ func TestLehmerArithmetic(t *testing.T) {
 		if got, want := lehmerStep(x), x*lehmerA%lehmerP; got != want {
 			t.Errorf("lehmerStep(%d) = %d, want %d", x, got, want)
 		}
-		for _, a := range []uint64{1, lehmerA, lehmerP - 1, lfJump[1], lfJump[3]} {
-			if got, want := lehmerMul(a, x), a*x%lehmerP; got != want {
-				t.Errorf("lehmerMul(%d, %d) = %d, want %d", a, x, got, want)
-			}
-		}
 	}
 }
 
