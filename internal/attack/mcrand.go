@@ -10,9 +10,9 @@ import "math/rand"
 // 2-vCPU amd64 box). The plan search reseeds once per Monte Carlo
 // decision, and rand.Seed spends nearly all of its time in the 1,841
 // serial Schrage divisions of its Lehmer seeding generator; here those
-// steps use a Mersenne reduction instead. Four interleaved jump-ahead
-// chains seeded in 1.9–2.6 µs, but perfbench scenarios could not tell
-// them from this single chain (20 alternating pairs), so they went.
+// steps use a Mersenne reduction instead, in one serial chain:
+// interleaving jump-ahead chains halves the seed time but does not show
+// in perfbench scenarios (20 alternating pairs).
 //
 // Seeding builds state word i from three consecutive Lehmer values
 // x_{21+3i}, x_{22+3i}, x_{23+3i} (x_k = 48271^k·seed mod 2^31−1),
